@@ -432,7 +432,11 @@ func BenchmarkSecondChance(b *testing.B) {
 // roofline characterisation of one system.
 func BenchmarkSimulatedBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulated("Gold 6148", nil); err != nil {
+		sess, err := New(WithSystem("Gold 6148"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,7 +36,6 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, ascii, svg, gnuplot, summary, json")
 		out     = flag.String("out", "", "output file (default stdout)")
 		threads = flag.Int("threads", 0, "native parallelism (default GOMAXPROCS)")
-		shards  = flag.Int("case-shards", 0, "workers evaluating cases concurrently within each sweep (simulated targets only; 0 = adaptive from spare host parallelism, 1 = serial)")
 		levels  = flag.String("triad-levels", "", "comma-separated TRIAD residency regions to sweep (simulated targets only; e.g. L1,L2,L3,DRAM; default L3,DRAM)")
 		chain   = flag.Bool("chain", false, "chain same-metric sweeps: pre-seed each sweep's incumbent with its dependency's winner")
 		// The usage text asks the registry rather than hand-maintaining a
@@ -67,15 +66,11 @@ func main() {
 	var res *rooftune.Result
 	var err error
 	if *remote != "" {
-		// The daemon serves deterministic simulated campaigns only, with
-		// the case-shard count pinned to one — flags that contradict that
-		// contract fail loudly instead of silently meaning something else.
+		// The daemon serves deterministic simulated campaigns only —
+		// flags that contradict that contract fail loudly instead of
+		// silently meaning something else.
 		if *native {
 			fmt.Fprintln(os.Stderr, "rooftool: -native cannot be combined with -remote: the daemon serves simulated campaigns only")
-			os.Exit(2)
-		}
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "rooftool: -case-shards > 1 cannot be combined with -remote: the daemon pins case shards to 1 for cacheable results")
 			os.Exit(2)
 		}
 		if *threads != 0 {
@@ -92,7 +87,7 @@ func main() {
 	} else {
 		opts := []rooftune.Option{
 			rooftune.WithSeed(*seed), rooftune.WithThreads(*threads),
-			rooftune.WithCaseShards(*shards), rooftune.WithSweepChaining(*chain),
+			rooftune.WithSweepChaining(*chain),
 		}
 		if len(levelNames) > 0 {
 			opts = append(opts, rooftune.WithTriadLevels(levelNames...))

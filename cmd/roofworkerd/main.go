@@ -11,8 +11,8 @@
 // running node absorbs duplicate dispatches (they join and wait), and
 // completed outcomes are cached so requeued or replayed dispatches —
 // including after a coordinator restart — are answered instantly with
-// zero kernel executions. Concurrent nodes divide the host under the
-// same shared parallelism budget the serving tier uses.
+// zero kernel executions. Each node runs one sweep, evaluating its
+// cases serially.
 //
 // Endpoints (see the README "Distributed sweeps" section):
 //
@@ -25,7 +25,7 @@
 //
 //	roofworkerd                          # ephemeral port
 //	roofworkerd -addr :9090 -name w1     # fixed port, fleet identity
-//	roofworkerd -parallelism 4           # cap the host share nodes may use
+//	roofworkerd -parallelism 4           # advertise a capacity of 4
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
 		name         = flag.String("name", "", "worker identity reported on heartbeats and outcomes (default: the listen address)")
-		parallelism  = flag.Int("parallelism", 0, "host-parallelism capacity divided among concurrent nodes (0 = GOMAXPROCS)")
+		parallelism  = flag.Int("parallelism", 0, "host-parallelism capacity reported on heartbeats and metrics (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache-entries", 0, "completed-node cache capacity in entries (0 = default 256)")
 	)
 	flag.Parse()

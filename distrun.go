@@ -22,9 +22,9 @@ import (
 
 // ErrExecLocal, returned (or wrapped) by a NodeExec, tells RunDist to
 // run that node in-process instead — the graceful fallback when no
-// remote worker is live. The node runs with the exact seed and shard
-// policy a plain Run would have used, so a partially remote run is
-// still bit-identical to a local one.
+// remote worker is live. The node runs with the exact seed a plain Run
+// would have used, so a partially remote run is still bit-identical to
+// a local one.
 var ErrExecLocal = errors.New("rooftune: node executor unavailable; running locally")
 
 // NodeExec executes one plan-graph node somewhere else — the
@@ -127,9 +127,9 @@ func (s *Session) RunDist(ctx context.Context, exec NodeExec) (*Result, error) {
 // RunNode plans the session's campaign and executes exactly one of its
 // plan-graph nodes — the worker side of the distributed tier. The node
 // runs precisely as a local Run executing the whole graph would have
-// run it (same validation, shard policy and budget), with its incumbent
-// pre-seeded by seedValue (0: unseeded) — the coordinator supplies the
-// dependency winner the local schedule would have. bound, when non-nil,
+// run it (same validation and budget), with its incumbent pre-seeded by
+// seedValue (0: unseeded) — the coordinator supplies the dependency
+// winner the local schedule would have. bound, when non-nil,
 // is additionally wired into the search so bounds pushed to it
 // mid-sweep prune like local incumbent discoveries (monotone, so pushes
 // are harmless whenever they arrive). The one-Run-at-a-time contract

@@ -13,13 +13,13 @@ import (
 // Bump it whenever the rendering below changes meaning: a bumped schema
 // re-keys every content-addressed cache built on fingerprints, which is
 // exactly what must happen when the identity contract moves.
-const fingerprintSchema = "rooftune-fingerprint-v1"
+const fingerprintSchema = "rooftune-fingerprint-v2"
 
 // Fingerprint returns the session's content address: the hex SHA-256 of
 // a canonical rendering of everything that determines its Result —
 // engine and system identity, seed, the full evaluation budget, the
-// chaining mode and case-shard count, and the resolved plan graph down
-// to every planned case's typed configuration (bench.ConfigCanonical).
+// chaining mode and the resolved plan graph down to every planned case's
+// typed configuration (bench.ConfigCanonical).
 // Two sessions with equal fingerprints produce byte-identical Results on
 // simulated targets, which is what lets a serving tier memoize outcomes:
 // a cache keyed on the fingerprint returns a stored Result only to
@@ -27,14 +27,9 @@ const fingerprintSchema = "rooftune-fingerprint-v1"
 //
 // Execution-schedule knobs that do not move the Result are excluded on
 // purpose: WithSerial and WithHostParallelism change which hardware runs
-// the schedule, never which configurations win (asserted by the
+// the schedule, never one byte of the Result (asserted by the
 // determinism suites), so a loaded daemon sharing its host budget across
-// sessions still hits the cache entries an idle one wrote. The case-shard
-// count is included — sharded evaluation may legitimately prune less and
-// therefore report a different SearchTime — and a caching tier must pin
-// it (WithCaseShards(1)), because under the adaptive default (0) the
-// shard pool is sized from the host cap and the search-cost accounting
-// would vary across hosts sharing a fingerprint.
+// sessions still hits the cache entries an idle one wrote.
 //
 // Native sessions fingerprint too (the engine identity and thread count
 // distinguish them from every simulated build), but two hosts sharing a
@@ -55,7 +50,6 @@ func (s *Session) Fingerprint() (string, error) {
 	fmt.Fprintf(&sb, "threads=%d\n", s.cfg.threads)
 	fmt.Fprintf(&sb, "budget=%s\n", s.cfg.budget.Canonical())
 	fmt.Fprintf(&sb, "chain=%t\n", s.cfg.chain)
-	fmt.Fprintf(&sb, "caseShards=%d\n", s.cfg.caseShards)
 	for _, n := range nodes {
 		seedFrom := n.SeedFrom
 		if !s.cfg.chain {

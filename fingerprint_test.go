@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"regexp"
+	"slices"
 	"sync"
 	"testing"
 
@@ -73,15 +74,14 @@ func TestWithHostParallelismValidation(t *testing.T) {
 }
 
 // TestHostParallelismResultInvariant asserts the budget contract the
-// serving tier depends on: with a pinned shard count, capping the host
-// parallelism changes nothing about the Result — not the winners, not
-// the search-cost accounting — so sessions throttled under a shared
-// budget hit the same content-addressed cache entries as unthrottled
-// ones.
+// serving tier depends on: capping the host parallelism changes nothing
+// about the Result — not the winners, not the search-cost accounting —
+// so sessions throttled under a shared budget hit the same
+// content-addressed cache entries as unthrottled ones.
 func TestHostParallelismResultInvariant(t *testing.T) {
 	run := func(extra ...Option) *Result {
 		t.Helper()
-		opts := append(tinySessionOptions(), WithWorkloads("dgemm"), WithCaseShards(1))
+		opts := append(tinySessionOptions(), WithWorkloads("dgemm"))
 		sess, err := New(append(opts, extra...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -130,21 +130,22 @@ func TestFingerprintDeterministic(t *testing.T) {
 }
 
 // TestFingerprintSensitivity: every knob that can move a simulated
-// Result moves the fingerprint — seed, space, budget, chaining, shard
-// count, workload set, and the target system itself.
+// Result moves the fingerprint — seed, space, budget, chaining, workload
+// set, and the target system itself.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := append(tinySessionOptions(), WithWorkloads("dgemm"))
+	// Clipped so each variant's append copies instead of overwriting the
+	// previous variant's last option in a shared backing array.
+	base := slices.Clip(append(tinySessionOptions(), WithWorkloads("dgemm")))
 	ref := fingerprintFor(t, base...)
 
 	smallBudget := bench.DefaultBudget().WithFlags(true, true, true)
 	smallBudget.Invocations = 2
 	variants := map[string][]Option{
-		"seed":       append(base, WithSeed(7)),
-		"space":      append(base, WithSpace([]core.Dims{{N: 512, M: 512, K: 128}})),
-		"budget":     append(base, WithBudget(smallBudget)),
-		"chain":      append(base, WithSweepChaining(true)),
-		"caseShards": append(base, WithCaseShards(2)),
-		"workloads":  append(base, WithWorkloads("dgemm", "triad")),
+		"seed":      append(base, WithSeed(7)),
+		"space":     append(base, WithSpace([]core.Dims{{N: 512, M: 512, K: 128}})),
+		"budget":    append(base, WithBudget(smallBudget)),
+		"chain":     append(base, WithSweepChaining(true)),
+		"workloads": append(base, WithWorkloads("dgemm", "triad")),
 	}
 	for name, opts := range variants {
 		if got := fingerprintFor(t, opts...); got == ref {
@@ -164,7 +165,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 // the fingerprint alone, so a throttled daemon still hits cache entries
 // written by an idle one.
 func TestFingerprintScheduleInvariant(t *testing.T) {
-	base := append(tinySessionOptions(), WithWorkloads("dgemm"), WithCaseShards(1))
+	base := slices.Clip(append(tinySessionOptions(), WithWorkloads("dgemm")))
 	ref := fingerprintFor(t, base...)
 	for name, opts := range map[string][]Option{
 		"WithSerial":          append(base, WithSerial()),

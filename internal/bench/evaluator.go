@@ -78,12 +78,10 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 // Evaluate runs the full invocation/iteration process for case c, pruning
 // against the incumbent bound inc (use None if no incumbent exists). The
 // bound is loaded exactly once, on entry, so the whole evaluation prunes
-// against one consistent value — sharded searches snapshot their shared
-// AtomicIncumbent the same way a serial search carries its scalar. The
-// returned outcome's Elapsed is measured on the evaluator's clock, so it
-// includes setup and warm-up cost — everything the search pays for.
-// (Under case sharding the clock is shared by concurrent evaluations, so
-// Elapsed then spans the evaluation's concurrent window; see core.Tuner.)
+// against one consistent value, even when inc is a shared AtomicIncumbent
+// that rises mid-evaluation. The returned outcome's Elapsed is measured
+// on the evaluator's clock, so it includes setup and warm-up cost —
+// everything the search pays for.
 //
 // Cancelling ctx aborts the evaluation between kernel executions — after
 // at most one more Step — and returns ctx.Err(); the partial outcome is

@@ -10,10 +10,11 @@ import (
 // whole evaluation sees one consistent bound; implementations therefore
 // only need Bound to be safe for concurrent use, not stable over time.
 //
-// The serial search carries a plain scalar (Fixed). Sharded searches share
-// one AtomicIncumbent across workers: its bound is monotone — it only ever
+// The search carries a plain scalar (Fixed). A bound shared across
+// processes — the distributed tier pushing incumbents into a running
+// search — is an AtomicIncumbent: its bound is monotone — it only ever
 // rises to means that some configuration actually achieved — so pruning
-// stays conservative no matter how evaluations interleave.
+// stays conservative no matter when pushes arrive.
 type Incumbent interface {
 	// Bound returns the current incumbent metric value in base units, or
 	// NoBest when no configuration has finished yet.
@@ -33,8 +34,8 @@ func (f Fixed) Bound() float64 { return float64(f) }
 var None Incumbent = Fixed(NoBest)
 
 // AtomicIncumbent is a monotone incumbent bound shared by concurrent
-// shard workers: readers load it before each evaluation, writers CAS-max
-// it after. The bound only ever increases, and only to values some
+// writers: readers load it before each evaluation, writers CAS-max it
+// after. The bound only ever increases, and only to values some
 // configuration's finished (non-pruned) evaluation actually reported, so
 // any pruning decision taken against it is conservative — the pruned
 // configuration lost to a true incumbent, never to a speculative value.

@@ -25,10 +25,10 @@ type Sampler interface {
 //
 //	key,invocation,iteration,elapsed_ns,metric
 //
-// It is safe for concurrent use: sharded searches reach one sampler from
-// several shard workers at once (directly or via MultiSampler), and the
-// mutex keeps every row intact — concurrent evaluations interleave at row
-// granularity, never within a row. Flush must be called before reading
+// It is safe for concurrent use: concurrent sweeps may reach one sampler
+// at once (directly or via MultiSampler), and the mutex keeps every row
+// intact — concurrent evaluations interleave at row granularity, never
+// within a row. Flush must be called before reading
 // the underlying writer.
 type CSVSampler struct {
 	mu     sync.Mutex

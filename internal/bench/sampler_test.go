@@ -35,7 +35,7 @@ func TestCSVSampler(t *testing.T) {
 }
 
 func TestCSVSamplerConcurrent(t *testing.T) {
-	// Shard workers reach one sampler concurrently (directly or through
+	// Concurrent sweeps reach one sampler at once (directly or through
 	// MultiSampler); every emitted row must stay intact — interleaving is
 	// allowed only at row granularity. Run under -race in CI.
 	var sb strings.Builder

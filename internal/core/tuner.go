@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rooftune/internal/bench"
@@ -45,20 +43,16 @@ type Result struct {
 	// see BestPruned.
 	Best *bench.Outcome
 	// BestPruned reports that every configuration was outer-pruned (only
-	// possible when the incumbent bound was pre-seeded, e.g. by shard
-	// workers racing ahead or by a caller-supplied bound) and Best holds
-	// the highest *truncated partial* mean rather than a measured winner.
-	// Callers reporting Best as a measurement should surface this.
+	// possible when the incumbent bound was pre-seeded by a chained
+	// dependency, a pushed bound or a caller-supplied value) and Best
+	// holds the highest *truncated partial* mean rather than a measured
+	// winner. Callers reporting Best as a measurement should surface this.
 	BestPruned bool
 	// All holds every configuration's outcome in traversal order — the
-	// order the tuner's Order dictates, independent of how many shards
-	// evaluated it.
+	// order the tuner's Order dictates.
 	All []*bench.Outcome
 	// Elapsed is the total search time on the engine's clock — virtual
-	// seconds for simulated engines, the paper's "Time" column. Sharded
-	// searches advance the same clock from every worker, so Elapsed
-	// remains the summed virtual cost of all evaluations, not the
-	// wall-clock of the concurrent schedule.
+	// seconds for simulated engines, the paper's "Time" column.
 	Elapsed time.Duration
 	// PrunedCount is how many configurations stop condition 4 abandoned.
 	PrunedCount int
@@ -85,21 +79,11 @@ type Tuner struct {
 	Order     Order
 	// Seed drives the random order shuffle (only used for OrderRandom).
 	Seed uint64
-	// OnOutcome, when non-nil, observes every evaluated configuration —
-	// used by experiment drivers to stream per-configuration series
-	// (Fig. 6) without retaining engine internals. A serial tuner calls it
-	// in traversal order; a sharded tuner (Shards > 1) calls it from the
-	// shard workers in completion order, so it must then be safe for
-	// concurrent use.
+	// OnOutcome, when non-nil, observes every evaluated configuration in
+	// traversal order — used by experiment drivers to stream
+	// per-configuration series (Fig. 6) without retaining engine
+	// internals.
 	OnOutcome func(*bench.Outcome)
-	// Shards is the number of workers evaluating cases concurrently
-	// within this one search (0 or 1 = the strictly serial loop). Workers
-	// claim cases from the ordered list in traversal order and share a
-	// monotone atomic incumbent bound, so pruning is always conservative
-	// and the winner is shard-count-invariant; see Run. Sharding is meant
-	// for simulated engines — concurrent wall-clock measurement on a
-	// native engine would contend on the host.
-	Shards int
 	// Incumbent pre-seeds the incumbent bound (<= 0 means none): a caller
 	// that already knows a reference performance — a previous sweep's
 	// winner over the same metric, say — makes stop condition 4 prune
@@ -117,8 +101,7 @@ type Tuner struct {
 	// replayed, reordered or duplicate pushes are harmless, and a bound
 	// is only ever a measured mean of the same metric, so the winner is
 	// unchanged — only PrunedCount/TotalSamples can move (toward more
-	// pruning). A sharded run (Shards > 1) uses Shared directly as its
-	// workers' incumbent.
+	// pruning).
 	Shared *bench.AtomicIncumbent
 }
 
@@ -133,73 +116,20 @@ func NewTuner(clock vclock.Clock, budget bench.Budget, order Order) *Tuner {
 
 // Run evaluates every case in the tuner's order, carrying the incumbent
 // best value into each evaluation so stop condition 4 can prune against
-// it. It returns an error only on engine failure or context cancellation;
-// statistical pruning is not an error. A canceled ctx aborts the search
-// between kernel executions and returns ctx.Err().
+// it. The evaluation is strictly serial, as in the paper: the incumbent
+// is sequential state, so each case is pruned against exactly the cases
+// before it in traversal order. Run returns an error only on engine
+// failure or context cancellation; statistical pruning is not an error.
+// A canceled ctx aborts the search between kernel executions and
+// returns ctx.Err().
 //
-// With Shards > 1 the ordered case list is evaluated by that many
-// concurrent workers under an order-insensitive incumbent protocol:
-//
-//   - Workers claim cases from the ordered list one at a time, in
-//     traversal order (a shared queue, not static blocks), and share one
-//     monotone bench.AtomicIncumbent. Each worker snapshots the bound
-//     immediately before claiming its next case and evaluates against the
-//     snapshot. Claims are handed out in traversal order, so every value
-//     in the snapshot came from a case at an earlier traversal index —
-//     the sharded search never knows more than the serial search did at
-//     the same case, and a case is pruned only against a mean some
-//     earlier-in-traversal configuration truly achieved. Pruning is
-//     therefore conservative: typically PrunedCount stays or drops
-//     relative to serial (workers race ahead of incumbent discovery) and
-//     TotalSamples stays or grows. That direction is a consequence of
-//     the subset property, not a hard theorem: outer pruning is itself a
-//     statistical decision, so a case serial pruned early can, under
-//     sharding, run to completion and offer a slightly different mean.
-//   - The winner is selected after all workers join, by replaying the
-//     serial selection scan over Result.All in traversal order: first
-//     non-pruned outcome with the strictly highest mean wins, so ties
-//     break by traversal-order index, never by completion order. Given
-//     the same per-case outcomes, winner selection is provably schedule-
-//     independent; per-case outcomes themselves match serial whenever the
-//     outer bound never misprunes, which holds on the calibrated
-//     simulated engines — there the winning configuration and its value
-//     are shard-count-invariant, asserted for every seed/order/space in
-//     the determinism suite (the sweep package's shard-invariance
-//     tests).
-//
-// Result.All is reassembled in traversal order regardless of completion
-// order. Per-outcome Elapsed under sharding spans the evaluation's
-// concurrent window on the shared clock; Result.Elapsed stays the exact
-// summed virtual cost.
+//rooflint:hotpath
 func (t *Tuner) Run(ctx context.Context, cases []bench.Case) (*Result, error) {
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("core: empty search space")
 	}
 	ordered := t.ordered(cases)
 	watch := vclock.NewStopwatch(t.Evaluator.Clock)
-	var (
-		outs []*bench.Outcome
-		err  error
-	)
-	if t.Shards > 1 && len(ordered) > 1 {
-		outs, err = t.runSharded(ctx, ordered)
-	} else {
-		outs, err = t.runSerial(ctx, ordered)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := assembleResult(outs)
-	res.Elapsed = watch.Elapsed()
-	return res, nil
-}
-
-// runSerial is the strictly serial evaluation loop: the incumbent is a
-// plain scalar carried case to case, bit-identical to the original
-// implementation (the compatibility shims ride on this path).
-//
-//rooflint:hotpath
-func (t *Tuner) runSerial(ctx context.Context, ordered []bench.Case) ([]*bench.Outcome, error) {
 	outs := make([]*bench.Outcome, 0, len(ordered))
 	best := t.seedBound()
 	for _, c := range ordered {
@@ -227,90 +157,14 @@ func (t *Tuner) runSerial(ctx context.Context, ordered []bench.Case) ([]*bench.O
 			t.OnOutcome(out)
 		}
 	}
-	return outs, nil
+	res := assembleResult(outs)
+	res.Elapsed = watch.Elapsed()
+	return res, nil
 }
 
-// runSharded evaluates the ordered cases with t.Shards concurrent workers
-// sharing a monotone atomic incumbent. See Run for the protocol and its
-// guarantees. The first error in traversal order wins; on cancellation
-// every worker is joined before the ctx error is reported.
-func (t *Tuner) runSharded(ctx context.Context, ordered []bench.Case) ([]*bench.Outcome, error) {
-	shards := t.Shards
-	if shards > len(ordered) {
-		shards = len(ordered)
-	}
-	var (
-		outs   = make([]*bench.Outcome, len(ordered))
-		errs   = make([]error, len(ordered))
-		inc    = t.Shared
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	if inc == nil {
-		inc = bench.NewAtomicIncumbent()
-	}
-	inc.Offer(t.seedBound())
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		//rooflint:allow nogoroutine -- shard workers under the documented order-insensitive incumbent protocol; joined by wg.Wait before Run returns
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil || failed.Load() {
-					return
-				}
-				// Snapshot the bound BEFORE claiming: everything in it was
-				// offered by a case claimed earlier, i.e. at a lower
-				// traversal index — the invariant that keeps sharded
-				// pruning a subset of serial pruning knowledge.
-				bound := bench.Fixed(inc.Bound())
-				i := int(next.Add(1)) - 1
-				if i >= len(ordered) {
-					return
-				}
-				out, err := t.Evaluator.Evaluate(ctx, ordered[i], bound)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				outs[i] = out
-				if !out.Pruned {
-					inc.Offer(out.Mean)
-				}
-				if t.OnOutcome != nil {
-					t.OnOutcome(out)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// A nil slot means a worker stopped claiming before reaching that
-	// case, which (absent an error above) only cancellation causes. A
-	// cancellation that lands after the last case finished is not a
-	// failure: the batch ran to completion.
-	for _, out := range outs {
-		if out == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: sharded run lost an outcome without an error")
-		}
-	}
-	return outs, nil
-}
-
-// assembleResult replays the serial winner-selection scan over the
-// outcomes in traversal order. Keeping selection in one place is what
-// makes the sharded search's winner provably tie-break like the serial
-// one: the first outcome with the strictly highest non-pruned mean wins,
-// whatever order evaluations completed in.
+// assembleResult runs the winner-selection scan over the outcomes in
+// traversal order: the first outcome with the strictly highest
+// non-pruned mean wins, so ties break by traversal index.
 //
 //rooflint:hotpath
 func assembleResult(outs []*bench.Outcome) *Result {
@@ -327,10 +181,10 @@ func assembleResult(outs []*bench.Outcome) *Result {
 		}
 	}
 	if res.Best == nil && len(res.All) > 0 {
-		// Everything was outer-pruned (requires a pre-seeded bound; shard
-		// workers pre-seed it routinely). Fall back to the highest partial
-		// mean so callers get an answer, but flag it: a truncated partial
-		// mean is a salvage value, not a measured winner.
+		// Everything was outer-pruned (requires a pre-seeded bound). Fall
+		// back to the highest partial mean so callers get an answer, but
+		// flag it: a truncated partial mean is a salvage value, not a
+		// measured winner.
 		for _, out := range res.All {
 			if res.Best == nil || out.Mean > res.Best.Mean {
 				res.Best = out

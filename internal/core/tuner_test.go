@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -177,11 +176,10 @@ func TestTunerSamplesAndElapsed(t *testing.T) {
 }
 
 // runOrdered is a helper running one tuner over fresh cases.
-func runOrdered(t *testing.T, b bench.Budget, order Order, shards int, incumbent float64, values []float64) *Result {
+func runOrdered(t *testing.T, b bench.Budget, order Order, incumbent float64, values []float64) *Result {
 	t.Helper()
 	clock := vclock.NewVirtual()
 	tuner := NewTuner(clock, b, order)
-	tuner.Shards = shards
 	tuner.Incumbent = incumbent
 	res, err := tuner.Run(context.Background(), makeCases(clock, values))
 	if err != nil {
@@ -190,62 +188,15 @@ func runOrdered(t *testing.T, b bench.Budget, order Order, shards int, incumbent
 	return res
 }
 
-func TestTunerShardedMatchesSerial(t *testing.T) {
-	values := []float64{5, 8, 2, 10, 7, 1, 9, 9.5, 3, 6, 4, 8.5}
-	budgets := map[string]bench.Budget{
-		"plain": quickBudget(),
-		"outer": func() bench.Budget {
-			b := quickBudget()
-			b.Invocations = 4
-			b.UseOuterBound = true
-			return b
-		}(),
-	}
-	for name, b := range budgets {
-		for _, order := range []Order{OrderForward, OrderReverse, OrderRandom} {
-			serial := runOrdered(t, b, order, 1, 0, values)
-			for _, shards := range []int{2, 3, 4, 16} {
-				res := runOrdered(t, b, order, shards, 0, values)
-				if res.Best.Key != serial.Best.Key || res.Best.Mean != serial.Best.Mean {
-					t.Fatalf("%s/%v/shards=%d: winner %s (%v), serial %s (%v)",
-						name, order, shards, res.Best.Key, res.Best.Mean,
-						serial.Best.Key, serial.Best.Mean)
-				}
-				// Result.All must be reassembled in traversal order.
-				for i := range res.All {
-					if res.All[i].Key != serial.All[i].Key {
-						t.Fatalf("%s/%v/shards=%d: All[%d] = %s, serial %s",
-							name, order, shards, i, res.All[i].Key, serial.All[i].Key)
-					}
-				}
-				// Conservativeness: shard workers race ahead of incumbent
-				// discovery, so they can only prune less than serial, never
-				// more — and so only ever measure more, never less.
-				if res.PrunedCount > serial.PrunedCount {
-					t.Fatalf("%s/%v/shards=%d: pruned %d > serial %d",
-						name, order, shards, res.PrunedCount, serial.PrunedCount)
-				}
-				if res.TotalSamples < serial.TotalSamples {
-					t.Fatalf("%s/%v/shards=%d: samples %d < serial %d",
-						name, order, shards, res.TotalSamples, serial.TotalSamples)
-				}
-			}
-		}
-	}
-}
-
-func TestTunerShardedTieBreaksByTraversalIndex(t *testing.T) {
+func TestTunerTieBreaksByTraversalIndex(t *testing.T) {
 	// Two exactly tied maxima: the winner must be the one earlier in
-	// traversal order — case-1 forward, case-2 reverse — for every shard
-	// count, never a completion-order accident.
+	// traversal order — case-1 forward, case-2 reverse.
 	values := []float64{7, 9, 9, 3}
 	want := map[Order]string{OrderForward: "case-1", OrderReverse: "case-2"}
 	for order, key := range want {
-		for _, shards := range []int{1, 2, 4} {
-			res := runOrdered(t, quickBudget(), order, shards, 0, values)
-			if res.Best.Key != key {
-				t.Fatalf("%v/shards=%d: winner %s, want %s", order, shards, res.Best.Key, key)
-			}
+		res := runOrdered(t, quickBudget(), order, 0, values)
+		if res.Best.Key != key {
+			t.Fatalf("%v: winner %s, want %s", order, res.Best.Key, key)
 		}
 	}
 }
@@ -255,57 +206,51 @@ func TestTunerPreSeededIncumbent(t *testing.T) {
 	b.Invocations = 4
 	b.UseOuterBound = true
 	values := []float64{10, 100, 20, 30}
-	for _, shards := range []int{1, 4} {
-		// A seed below the best: the winner survives, hopeless cases are
-		// prunable from the very first evaluation, and the result is a
-		// real measurement.
-		res := runOrdered(t, b, OrderForward, shards, 50, values)
-		if res.Best.Key != "case-1" || res.BestPruned {
-			t.Fatalf("shards=%d: best %s, BestPruned %v", shards, res.Best.Key, res.BestPruned)
-		}
-		// A seed above everything: every configuration is outer-pruned and
-		// Best degrades to a salvage value, which must be flagged.
-		res = runOrdered(t, b, OrderForward, shards, 1000, values)
-		if res.PrunedCount != len(values) {
-			t.Fatalf("shards=%d: pruned %d of %d", shards, res.PrunedCount, len(values))
-		}
-		if res.Best == nil || !res.BestPruned {
-			t.Fatalf("shards=%d: all-pruned salvage not flagged: best %v, BestPruned %v",
-				shards, res.Best, res.BestPruned)
-		}
-		if !res.Best.Pruned {
-			t.Fatalf("shards=%d: salvage Best must itself be a pruned outcome", shards)
-		}
+	// A seed below the best: the winner survives, hopeless cases are
+	// prunable from the very first evaluation, and the result is a real
+	// measurement.
+	res := runOrdered(t, b, OrderForward, 50, values)
+	if res.Best.Key != "case-1" || res.BestPruned {
+		t.Fatalf("best %s, BestPruned %v", res.Best.Key, res.BestPruned)
+	}
+	// A seed above everything: every configuration is outer-pruned and
+	// Best degrades to a salvage value, which must be flagged.
+	res = runOrdered(t, b, OrderForward, 1000, values)
+	if res.PrunedCount != len(values) {
+		t.Fatalf("pruned %d of %d", res.PrunedCount, len(values))
+	}
+	if res.Best == nil || !res.BestPruned {
+		t.Fatalf("all-pruned salvage not flagged: best %v, BestPruned %v", res.Best, res.BestPruned)
+	}
+	if !res.Best.Pruned {
+		t.Fatal("salvage Best must itself be a pruned outcome")
 	}
 }
 
-func TestTunerShardedOnOutcomeAndErrors(t *testing.T) {
-	// OnOutcome fires once per case from the shard workers; engine
-	// failures propagate out of the sharded run like the serial one.
+func TestTunerOnOutcomeAndErrors(t *testing.T) {
+	// OnOutcome fires once per case, in traversal order; engine failures
+	// propagate out of the run.
 	clock := vclock.NewVirtual()
-	tuner := NewTuner(clock, quickBudget(), OrderForward)
-	tuner.Shards = 4
-	var (
-		mu   sync.Mutex
-		seen []string
-	)
-	tuner.OnOutcome = func(o *bench.Outcome) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen = append(seen, o.Key)
-	}
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := tuner.Run(context.Background(), makeCases(clock, values)); err != nil {
+	tuner := NewTuner(clock, quickBudget(), OrderReverse)
+	var seen []string
+	tuner.OnOutcome = func(o *bench.Outcome) { seen = append(seen, o.Key) }
+	values := []float64{1, 2, 3, 4}
+	res, err := tuner.Run(context.Background(), makeCases(clock, values))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(values) {
 		t.Fatalf("OnOutcome fired %d times for %d cases", len(seen), len(values))
 	}
+	for i, o := range res.All {
+		if seen[i] != o.Key {
+			t.Fatalf("OnOutcome[%d] = %s, traversal order has %s", i, seen[i], o.Key)
+		}
+	}
 
 	failing := NewTuner(vclock.NewVirtual(), quickBudget(), OrderForward)
-	failing.Shards = 4
 	if _, err := failing.Run(context.Background(), []bench.Case{&errCase{}, &errCase{}}); err == nil {
-		t.Fatal("sharded run must propagate engine failure")
+		t.Fatal("run must propagate engine failure")
 	}
 }
 
@@ -320,20 +265,26 @@ func (errCase) NewInvocation(int) (bench.Instance, error) {
 	return nil, fmt.Errorf("engine failure")
 }
 
-func TestTunerShardedCancellation(t *testing.T) {
+func TestTunerCancellation(t *testing.T) {
 	clock := vclock.NewVirtual()
 	tuner := NewTuner(clock, quickBudget(), OrderForward)
-	tuner.Shards = 2
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel from the first completed outcome: the remaining claims are
-	// skipped and the run reports the cancellation, joined cleanly.
-	tuner.OnOutcome = func(*bench.Outcome) { cancel() }
+	// Cancel from the first completed outcome: the next evaluation
+	// aborts and the run reports the cancellation.
+	evaluated := 0
+	tuner.OnOutcome = func(*bench.Outcome) {
+		evaluated++
+		cancel()
+	}
 	values := make([]float64, 64)
 	for i := range values {
 		values[i] = float64(i + 1)
 	}
 	if _, err := tuner.Run(ctx, makeCases(clock, values)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if evaluated != 1 {
+		t.Fatalf("%d cases finished after cancellation, want 1", evaluated)
 	}
 	cancel()
 }

@@ -12,7 +12,7 @@ import (
 
 	"rooftune"
 	distv1 "rooftune/dist/v1"
-	"rooftune/internal/serve/budget"
+	"rooftune/internal/parallel"
 	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/metrics"
 )
@@ -22,9 +22,10 @@ type WorkerConfig struct {
 	// Name identifies this worker on heartbeats and outcome provenance
 	// ("" is allowed but unhelpful in a fleet).
 	Name string
-	// Parallelism is the host-parallelism capacity divided among
-	// concurrently running nodes (<=0: GOMAXPROCS) — the same shared
-	// budget discipline the serving tier uses.
+	// Parallelism is the host-parallelism capacity the worker reports on
+	// heartbeats and as roofdist_worker_capacity (<=0: GOMAXPROCS). It
+	// advertises the host to the fleet; each node itself runs one sweep,
+	// evaluating its cases serially.
 	Parallelism int
 	// CacheEntries bounds the completed-node cache that makes dispatch
 	// idempotent (<=0: 256). Entries are small (one wire outcome each);
@@ -47,16 +48,16 @@ type runningNode struct {
 // Worker executes dist/v1 node specs: it rebuilds the session from the
 // wire campaign through the same resolution path the coordinator
 // fingerprinted (internal/serve/campaign), verifies the node
-// fingerprint, and runs the node under the shared host budget.
+// fingerprint, and runs the node on that session.
 // Completion is idempotent: a running fingerprint is joined, a
 // completed one is answered from the cache — so requeued, duplicated
 // or replayed dispatches (including after a coordinator restart) cost
 // no extra measurement.
 type Worker struct {
-	base    context.Context
-	name    string
-	budget  *budget.Budget
-	maxDone int
+	base     context.Context
+	name     string
+	capacity int
+	maxDone  int
 
 	mu      sync.Mutex
 	running map[string]*runningNode
@@ -79,14 +80,17 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
 	}
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = parallel.DefaultThreads()
+	}
 	w := &Worker{
-		base:    base,
-		name:    cfg.Name,
-		budget:  budget.New(cfg.Parallelism),
-		maxDone: cfg.CacheEntries,
-		running: make(map[string]*runningNode),
-		done:    make(map[string][]byte),
-		metrics: metrics.NewSet(),
+		base:     base,
+		name:     cfg.Name,
+		capacity: cfg.Parallelism,
+		maxDone:  cfg.CacheEntries,
+		running:  make(map[string]*runningNode),
+		done:     make(map[string][]byte),
+		metrics:  metrics.NewSet(),
 	}
 	w.metrics.CounterFunc("roofdist_worker_nodes_total", "",
 		"Node specs measured on this worker (cache hits excluded).",
@@ -101,8 +105,8 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 		"Nodes currently executing.",
 		func() float64 { return float64(w.runningCount()) })
 	w.metrics.GaugeFunc("roofdist_worker_capacity", "",
-		"Host-parallelism capacity divided among running nodes.",
-		func() float64 { return float64(w.budget.Capacity()) })
+		"Host-parallelism capacity this worker advertises.",
+		func() float64 { return float64(w.capacity) })
 	w.nodeSeconds = w.metrics.Histogram("roofdist_worker_node_seconds",
 		"Wall time measuring one node spec.",
 		[]float64{0.01, 0.05, 0.25, 1, 5, 30, 120})
@@ -228,34 +232,17 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	w.respond(rw, rn.status, want, false, rn.out)
 }
 
-// execute measures the claimed node and publishes its terminal state:
-// out/status filled, the fingerprint moved from running to the
-// completed cache (successes only — failures are transient), done
-// closed last so joiners observe a fully-written result.
+// execute measures the claimed node on the session handleRun resolved
+// and publishes its terminal state: out/status filled, the fingerprint
+// moved from running to the completed cache (successes only — failures
+// are transient), done closed last so joiners observe a fully-written
+// result.
 func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.NodeSpec, fp string) {
-	// The host budget divides the machine among concurrently running
-	// nodes, exactly like concurrent jobs on the serving tier.
-	lease := w.budget.Acquire()
-	defer lease.Release()
-	runSess := sess
-	if share := lease.Share(); share > 0 {
-		// Rebuild with the leased share; resolution is deterministic,
-		// and host parallelism is excluded from the fingerprint.
-		camp, err := campaign.Parse(bytes.NewReader(spec.Campaign))
-		if err == nil {
-			if opts, err := campaign.Options(camp); err == nil {
-				opts = append(opts, rooftune.WithHostParallelism(share))
-				if s2, err := rooftune.New(opts...); err == nil {
-					runSess = s2
-				}
-			}
-		}
-	}
 	if spec.SeedValue > 0 {
 		rn.bound.Offer(spec.SeedValue)
 	}
 	start := time.Now()
-	out, err := runSess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
+	out, err := sess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
 	w.nodeSeconds.Observe(time.Since(start).Seconds())
 
 	var status int
@@ -330,7 +317,7 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 		Schema:   distv1.Schema,
 		Worker:   w.name,
 		Running:  w.runningCount(),
-		Capacity: w.budget.Capacity(),
+		Capacity: w.capacity,
 		NodesRun: w.nodesRun.Load(),
 	}
 	rw.Header().Set("Content-Type", "application/json")

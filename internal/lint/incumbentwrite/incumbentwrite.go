@@ -1,8 +1,8 @@
 // Package incumbentwrite protects the monotone incumbent protocol.
 //
-// Sharded searches stay order-insensitive because the shared incumbent
-// bound only ever rises, and only through bench.AtomicIncumbent's
-// CAS-max Offer. Two things would silently break that: code inside the
+// Bounds pushed into a running search by the distributed tier are
+// harmless whenever they arrive because the shared incumbent bound only
+// ever rises, and only through bench.AtomicIncumbent's CAS-max Offer. Two things would silently break that: code inside the
 // bench package touching the underlying atomic state from outside the
 // type's own methods (a plain Store can lower the bound), and code
 // anywhere copying or overwriting an AtomicIncumbent value (a copy

@@ -5,11 +5,11 @@
 // is what makes cancellation leak-free and the determinism suites
 // meaningful. A raw go statement anywhere else is either a missing use
 // of the pool or a carefully documented structure (the sweep package's
-// plan-graph dispatcher, the session's event drainer, core's shard
-// workers), and the documented ones must say so in-line with a
-// //rooflint:allow nogoroutine annotation whose justification names the
-// join point. Test files are exempt: tests routinely spawn goroutines
-// to exercise concurrency.
+// plan-graph dispatcher, the session's event drainer, the distributed
+// tier's dispatch attempts and health probes), and the documented ones
+// must say so in-line with a //rooflint:allow nogoroutine annotation
+// whose justification names the join point. Test files are exempt:
+// tests routinely spawn goroutines to exercise concurrency.
 package nogoroutine
 
 import (

@@ -4,8 +4,8 @@
 // a content-addressed cache keyed by the session fingerprint.
 //
 // The contract that makes the cache sound is determinism: served
-// campaigns target simulated systems only and run with the case-shard
-// count pinned to one, so a campaign's Result is a pure function of its
+// campaigns target simulated systems only, and every sweep evaluates its
+// cases serially, so a campaign's Result is a pure function of its
 // fingerprint and a cache hit is byte-for-byte the response a fresh run
 // would have produced — with zero kernel executions. Native targets are
 // rejected: wall-clock measurements are not content-addressable (the

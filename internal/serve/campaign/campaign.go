@@ -26,18 +26,12 @@ func Parse(r io.Reader) (servev1.Campaign, error) {
 	return servev1.ParseCampaign(r)
 }
 
-// Options resolves a wire campaign into session options. The case-shard
-// count is always pinned to one: adaptive sharding may change the
-// search-cost accounting run to run, which would break the cache's
-// byte-identity guarantee (see rooftune.Session.Fingerprint).
+// Options resolves a wire campaign into session options.
 func Options(c servev1.Campaign) ([]rooftune.Option, error) {
 	if c.System == "" {
 		return nil, fmt.Errorf("serve: campaign has no system: the daemon serves simulated campaigns only")
 	}
-	opts := []rooftune.Option{
-		rooftune.WithSystem(c.System),
-		rooftune.WithCaseShards(1),
-	}
+	opts := []rooftune.Option{rooftune.WithSystem(c.System)}
 	if len(c.Workloads) > 0 {
 		opts = append(opts, rooftune.WithWorkloads(c.Workloads...))
 	}

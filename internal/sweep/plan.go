@@ -109,14 +109,15 @@ func ValidatePlan(nodes []Node) error {
 	return nil
 }
 
-// RunPlan executes a plan graph: independent nodes run concurrently under
-// the Runner's worker cap exactly like Run, while a node with a SeedFrom
-// edge waits for its dependency and starts with its incumbent pre-seeded
-// by the dependency's winner (core.Tuner.Incumbent). A dependency that
+// RunPlan executes a plan graph: independent nodes run concurrently, at
+// most Host at a time, while a node with a SeedFrom edge waits for its
+// dependency and starts with its incumbent pre-seeded by the
+// dependency's winner (core.Tuner.Incumbent). A dependency that
 // finishes with only a salvage value (Result.BestPruned) releases its
 // dependents unseeded — a truncated partial mean is not a bound worth
 // pruning against. Outcomes are returned in node order and record their
-// seeding (Outcome.SeededFrom, Outcome.SeedValue).
+// seeding (Outcome.SeededFrom, Outcome.SeedValue); they never depend on
+// the schedule.
 //
 // Seeding never changes which configuration wins a well-ordered chain:
 // the seed is a measured mean of the same metric, so any configuration it
@@ -133,12 +134,16 @@ func ValidatePlan(nodes []Node) error {
 // executor declines (see Exec, ExecFunc). The topological schedule,
 // seeding rules and outcome order are identical either way.
 //
-// Error and cancellation semantics mirror Run: the first failing node in
-// node order is reported; serial runs (Workers 1 or Serial) fail fast;
-// parallel runs finish in-flight sweeps. A node whose dependency failed
-// never starts. Cancellation aborts between kernel executions, joins
-// every worker, and reports an error satisfying errors.Is(err, ctx.Err())
-// — unless every node had already completed.
+// The reported error is always the first failing node in node order.
+// A Host-1 run fails fast: no node starts after a failure, so a broken
+// first sweep on the native path never pays for minutes of doomed
+// wall-clock benchmarking. Parallel runs finish every in-flight node
+// instead: skipping by a racy flag would make which error surfaces
+// depend on timing. A node whose dependency failed never starts, and an
+// empty case list is an error. Cancelling ctx aborts the run between
+// kernel executions, joins every node goroutine, and reports an error
+// satisfying errors.Is(err, ctx.Err()) — unless every node had already
+// completed, in which case the finished outcomes are returned.
 func (r *Runner) RunPlan(ctx context.Context, nodes []Node) ([]Outcome, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("sweep: empty plan")
@@ -155,25 +160,12 @@ func (r *Runner) RunPlan(ctx context.Context, nodes []Node) ([]Outcome, error) {
 	}
 	children := make([][]int, len(nodes))
 	indeg := make([]int, len(nodes))
-	edges := 0
 	for i, n := range nodes {
 		if n.SeedFrom != "" {
 			p := index[n.SeedFrom]
 			children[p] = append(children[p], i)
 			indeg[i]++
-			edges++
 		}
-	}
-	// The adaptive shard policy wants to know how many sweeps compete for
-	// the host at once. For a plan graph that is not the node count: a
-	// chained run executes one node per chain at a time. Each node has at
-	// most one SeedFrom parent, so the graph is a forest and nodes minus
-	// edges is its component (chain) count — exact for the linear chains
-	// the workloads plan, a deterministic underestimate for branchier
-	// trees (which merely shards a little more than strictly fair).
-	width := len(nodes) - edges
-	if width < 1 {
-		width = 1
 	}
 
 	var (
@@ -201,7 +193,7 @@ func (r *Runner) RunPlan(ctx context.Context, nodes []Node) ([]Outcome, error) {
 			//rooflint:allow nogoroutine -- plan-graph dispatcher; every node goroutine reports on done and is drained by the completion loop below
 			go func(i int) {
 				n := nodes[i]
-				out, err := r.execOne(ctx, n, r.shardsFor(n.Spec, width), seeds[i])
+				out, err := r.execOne(ctx, n, seeds[i])
 				out.ID = n.ID
 				outs[i], errs[i] = out, err
 				done <- i
@@ -237,9 +229,9 @@ func (r *Runner) RunPlan(ctx context.Context, nodes []Node) ([]Outcome, error) {
 		}
 	}
 	// Attribute never-started nodes: a cancelled run's skipped nodes must
-	// carry the ctx error themselves (mirroring Run), and a node whose
-	// dependency failed names it. Fail-fast skips stay error-free — the
-	// root failure is what gets reported.
+	// carry the ctx error themselves, and a node whose dependency failed
+	// names it. Fail-fast skips stay error-free — the root failure is
+	// what gets reported.
 	for i := range nodes {
 		if started[i] || errs[i] != nil {
 			continue

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -119,12 +118,12 @@ func chainNodes(seed uint64) []Node {
 
 // TestRunPlanChainDeterminism is the chained-plan determinism suite: the
 // winners and values of a seeded chain must be bit-identical to the same
-// sweeps run unchained, across serial, concurrent and case-sharded
-// schedules — only pruning counts and sample totals may move, and only
-// toward more pruning / fewer samples.
+// sweeps run unchained, across serial and concurrent schedules — only
+// pruning counts and sample totals may move, and only toward more
+// pruning / fewer samples.
 func TestRunPlanChainDeterminism(t *testing.T) {
 	const seed = 1021
-	baseline, err := testRunner(true).Run(context.Background(), []Spec{
+	baseline, err := runSpecs(context.Background(), testRunner(true), []Spec{
 		chainNodes(seed)[0].Spec, chainNodes(seed)[1].Spec,
 	})
 	if err != nil {
@@ -136,7 +135,6 @@ func TestRunPlanChainDeterminism(t *testing.T) {
 	}{
 		{"serial", testRunner(true)},
 		{"concurrent", testRunner(false)},
-		{"case-sharded", func() *Runner { r := testRunner(false); r.CaseShards = 4; return r }()},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			outs, err := mode.runner.RunPlan(context.Background(), chainNodes(seed))
@@ -274,52 +272,5 @@ func TestRunPlanCancellation(t *testing.T) {
 			t.Fatalf("serial=%v: err = %v, want context.Canceled", serial, err)
 		}
 		cancel()
-	}
-}
-
-// TestAdaptiveShards pins the adaptive case-shard policy: explicit counts
-// win, sweep-level saturation disables sharding, spare parallelism is
-// split across concurrent sweeps, and tiny sweeps stay serial.
-func TestAdaptiveShards(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	cases := func(n int) Spec {
-		s := flopsSpec("x")
-		for len(s.Cases) < n {
-			s.Cases = append(s.Cases, s.Cases[0])
-		}
-		return s
-	}
-	r := func(serial bool, workers, caseShards int) *Runner {
-		return &Runner{Serial: serial, Workers: workers, CaseShards: caseShards}
-	}
-	tests := []struct {
-		name       string
-		r          *Runner
-		spec       Spec
-		concurrent int
-		want       int
-	}{
-		{"runner pin wins", r(false, 0, 1), cases(100), 4, 1},
-		{"runner fixed wins", r(false, 0, 3), cases(100), 4, 3},
-		{"saturated host stays serial", r(false, 0, 0), cases(100), 8, 1},
-		{"serial runner stays fully serial", r(true, 0, 0), cases(100), 8, 1},
-		{"spare split across sweeps", r(false, 2, 0), cases(100), 2, 4},
-		{"tiny sweep stays serial", r(false, 1, 0), cases(4), 8, 1},
-		{"case cap bounds the pool", r(false, 2, 0), cases(17), 2, 3},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.r.shardsFor(tc.spec, tc.concurrent); got != tc.want {
-				t.Fatalf("shardsFor = %d, want %d", got, tc.want)
-			}
-		})
-	}
-
-	spec := cases(100)
-	spec.CaseShards = 2
-	if got := r(false, 0, 5).shardsFor(spec, 4); got != 2 {
-		t.Fatalf("spec override = %d, want 2", got)
 	}
 }

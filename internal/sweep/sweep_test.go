@@ -12,7 +12,6 @@ import (
 	"rooftune/internal/bench"
 	"rooftune/internal/core"
 	"rooftune/internal/hw"
-	"rooftune/internal/parallel"
 	"rooftune/internal/vclock"
 )
 
@@ -51,14 +50,27 @@ func buildSpecs(t *testing.T, sys hw.System, seed uint64) []Spec {
 	return specs
 }
 
+// testRunner builds a runner with a quick budget; serial pins the host
+// budget to one sweep at a time.
 func testRunner(serial bool) *Runner {
 	b := bench.DefaultBudget().WithFlags(true, true, true)
 	b.Invocations = 2
 	b.MaxIterations = 20
-	// CaseShards is pinned to 1 (strictly serial evaluation): the
-	// bit-exactness baselines below compare search cost, which the
-	// adaptive default may legitimately change on a multi-core host.
-	return &Runner{Budget: b, Order: core.OrderForward, Serial: serial, CaseShards: 1}
+	r := &Runner{Budget: b, Order: core.OrderForward}
+	if serial {
+		r.Host = 1
+	}
+	return r
+}
+
+// runSpecs runs specs as a plan graph with no dependency edges, one node
+// per spec under the spec's name.
+func runSpecs(ctx context.Context, r *Runner, specs []Spec) ([]Outcome, error) {
+	nodes := make([]Node, len(specs))
+	for i, s := range specs {
+		nodes[i] = Node{ID: s.Name, Spec: s}
+	}
+	return r.RunPlan(ctx, nodes)
 }
 
 func TestRunParallelDeterminism(t *testing.T) {
@@ -66,11 +78,11 @@ func TestRunParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := testRunner(true).Run(context.Background(), buildSpecs(t, sys, 1021))
+	serial, err := runSpecs(context.Background(), testRunner(true), buildSpecs(t, sys, 1021))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := testRunner(false).Run(context.Background(), buildSpecs(t, sys, 1021))
+	parallel, err := runSpecs(context.Background(), testRunner(false), buildSpecs(t, sys, 1021))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +99,7 @@ func TestRunTypedWinners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := testRunner(false).Run(context.Background(), buildSpecs(t, sys, 1021))
+	outs, err := runSpecs(context.Background(), testRunner(false), buildSpecs(t, sys, 1021))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +133,11 @@ func TestRunTypedWinners(t *testing.T) {
 }
 
 func TestRunEmptySpecs(t *testing.T) {
-	if _, err := testRunner(false).Run(context.Background(), nil); err == nil {
+	if _, err := runSpecs(context.Background(), testRunner(false), nil); err == nil {
 		t.Fatal("no specs must error")
 	}
 	spec := Spec{Name: "empty", Clock: vclock.NewVirtual()}
-	if _, err := testRunner(false).Run(context.Background(), []Spec{spec}); err == nil {
+	if _, err := runSpecs(context.Background(), testRunner(false), []Spec{spec}); err == nil {
 		t.Fatal("empty case list must error")
 	}
 }
@@ -146,7 +158,7 @@ func TestRunErrorPropagation(t *testing.T) {
 		Clock: vclock.NewVirtual(),
 		Cases: []bench.Case{failingCase{}},
 	}}
-	_, err := testRunner(false).Run(context.Background(), specs)
+	_, err := runSpecs(context.Background(), testRunner(false), specs)
 	if err == nil {
 		t.Fatal("engine failure must propagate")
 	}
@@ -162,7 +174,7 @@ func TestRunSerialFailsFast(t *testing.T) {
 		{Name: "broken", Clock: vclock.NewVirtual(), Cases: []bench.Case{failingCase{}}},
 		{Name: "after", Clock: eng.Clock, Cases: []bench.Case{eng.DGEMMCase(512, 512, 128, 1)}},
 	}
-	if _, err := testRunner(true).Run(context.Background(), specs); err == nil {
+	if _, err := runSpecs(context.Background(), testRunner(true), specs); err == nil {
 		t.Fatal("engine failure must propagate")
 	}
 	// Serial execution must not keep benchmarking doomed sweeps after the
@@ -177,7 +189,7 @@ func TestOutcomeElapsedAccountsSweepCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := testRunner(true).Run(context.Background(), buildSpecs(t, sys, 1021))
+	outs, err := runSpecs(context.Background(), testRunner(true), buildSpecs(t, sys, 1021))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,194 +205,6 @@ func TestOutcomeElapsedAccountsSweepCost(t *testing.T) {
 	}
 }
 
-// shardSpace is a mid-size DGEMM space: big enough that sharding has
-// real interleavings and stop condition 4 has real work, small enough to
-// keep the table test fast.
-func shardSpace() []core.Dims {
-	var out []core.Dims
-	for _, n := range []int{256, 512, 1024, 2048} {
-		for _, m := range []int{256, 1024, 4096} {
-			for _, k := range []int{64, 128, 256} {
-				out = append(out, core.Dims{N: n, M: m, K: k})
-			}
-		}
-	}
-	return out
-}
-
-// buildShardSpecs is buildSpecs over the larger shardSpace plus a denser
-// TRIAD sweep, fresh engines per call.
-func buildShardSpecs(t *testing.T, sys hw.System, seed uint64) []Spec {
-	t.Helper()
-	var specs []Spec
-	for _, sockets := range []int{1, sys.Sockets} {
-		eng := bench.NewSimEngine(sys, seed)
-		var cases []bench.Case
-		for _, d := range shardSpace() {
-			cases = append(cases, eng.DGEMMCase(d.N, d.M, d.K, sockets))
-		}
-		specs = append(specs, Spec{Name: fmt.Sprintf("dgemm-%d", sockets), Clock: eng.Clock, Cases: cases})
-	}
-	eng := bench.NewSimEngine(sys, seed)
-	var triad []bench.Case
-	for elems := 1 << 12; elems <= 1<<24; elems <<= 2 {
-		triad = append(triad, eng.TriadCase(elems, hw.AffinityClose, 1))
-	}
-	specs = append(specs, Spec{Name: "triad", Clock: eng.Clock, Cases: triad})
-	return specs
-}
-
-// TestCaseShardInvariance is the determinism suite for within-sweep case
-// sharding: for every traversal order and shard count, each sweep's
-// winning configuration and best value must be bit-identical to strictly
-// serial evaluation, pruning must stay conservative (never more pruning
-// than serial), and sample totals must never shrink. It mirrors
-// TestRunParallelDeterminism one level down.
-func TestCaseShardInvariance(t *testing.T) {
-	sys, err := hw.Get("2650v4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seed = 1021
-	shardCounts := []int{1, 2, 4, parallel.DefaultThreads()}
-	for _, order := range []core.Order{core.OrderForward, core.OrderReverse, core.OrderRandom} {
-		base := testRunner(false)
-		base.Order = order
-		serial, err := base.Run(context.Background(), buildShardSpecs(t, sys, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range shardCounts {
-			r := testRunner(false)
-			r.Order = order
-			r.CaseShards = shards
-			outs, err := r.Run(context.Background(), buildShardSpecs(t, sys, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, out := range outs {
-				want := serial[i]
-				if out.Result.Best.Key != want.Result.Best.Key {
-					t.Fatalf("%v/shards=%d/%s: winner %s, serial %s",
-						order, shards, out.Name, out.Result.Best.Key, want.Result.Best.Key)
-				}
-				if out.BestValue() != want.BestValue() {
-					t.Fatalf("%v/shards=%d/%s: best value %v, serial %v (must be bit-identical)",
-						order, shards, out.Name, out.BestValue(), want.BestValue())
-				}
-				if out.Best != want.Best {
-					t.Fatalf("%v/shards=%d/%s: typed winner %+v, serial %+v",
-						order, shards, out.Name, out.Best, want.Best)
-				}
-				if out.Result.PrunedCount > want.Result.PrunedCount {
-					t.Fatalf("%v/shards=%d/%s: pruned %d > serial %d (sharded pruning must be conservative)",
-						order, shards, out.Name, out.Result.PrunedCount, want.Result.PrunedCount)
-				}
-				if out.Result.TotalSamples < want.Result.TotalSamples {
-					t.Fatalf("%v/shards=%d/%s: samples %d < serial %d",
-						order, shards, out.Name, out.Result.TotalSamples, want.Result.TotalSamples)
-				}
-				if len(out.Result.All) != len(want.Result.All) {
-					t.Fatalf("%v/shards=%d/%s: %d outcomes, serial %d",
-						order, shards, out.Name, len(out.Result.All), len(want.Result.All))
-				}
-				// Traversal-order reassembly: outcome i is the same
-				// configuration in both runs.
-				for j := range out.Result.All {
-					if out.Result.All[j].Key != want.Result.All[j].Key {
-						t.Fatalf("%v/shards=%d/%s: All[%d] = %s, serial %s",
-							order, shards, out.Name, j, out.Result.All[j].Key, want.Result.All[j].Key)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSpecCaseShardsOverride(t *testing.T) {
-	// A Spec-level shard count overrides the Runner's; winners stay
-	// identical either way (that is the whole invariance contract), so
-	// the override is observable only as a green run across mixed specs.
-	sys, err := hw.Get("2650v4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := testRunner(true).Run(context.Background(), buildSpecs(t, sys, 1021))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := testRunner(false)
-	r.CaseShards = 4
-	specs := buildSpecs(t, sys, 1021)
-	specs[0].CaseShards = 1  // force this sweep serial
-	specs[1].CaseShards = -1 // negative behaves as serial too
-	outs, err := r.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range outs {
-		if out.Result.Best.Key != serial[i].Result.Best.Key || out.BestValue() != serial[i].BestValue() {
-			t.Fatalf("%s: winner %s (%v), serial %s (%v)", out.Name,
-				out.Result.Best.Key, out.BestValue(),
-				serial[i].Result.Best.Key, serial[i].BestValue())
-		}
-	}
-}
-
-func TestCaseShardsHooksConcurrent(t *testing.T) {
-	// Case-evaluated hooks fire from shard workers; this exercises the
-	// fan-in under -race and checks nothing is lost or duplicated.
-	sys, err := hw.Get("2650v4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu    sync.Mutex
-		cases = map[string]int{}
-	)
-	r := testRunner(false)
-	r.CaseShards = parallel.DefaultThreads()
-	r.Hooks.CaseEvaluated = func(sweep string, out *bench.Outcome) {
-		mu.Lock()
-		defer mu.Unlock()
-		cases[sweep+"/"+out.Key]++
-	}
-	specs := buildSpecs(t, sys, 1021)
-	if _, err := r.Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, s := range specs {
-		want += len(s.Cases)
-	}
-	if len(cases) != want {
-		t.Fatalf("hook saw %d distinct cases, want %d", len(cases), want)
-	}
-	for key, n := range cases {
-		if n != 1 {
-			t.Fatalf("case %s evaluated %d times", key, n)
-		}
-	}
-}
-
-func TestRunCancellation(t *testing.T) {
-	sys, err := hw.Get("2650v4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, serial := range []bool{true, false} {
-		ctx, cancel := context.WithCancel(context.Background())
-		r := testRunner(serial)
-		var once sync.Once
-		r.Hooks.CaseEvaluated = func(string, *bench.Outcome) { once.Do(cancel) }
-		_, err := r.Run(ctx, buildSpecs(t, sys, 1021))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v: err = %v, want context.Canceled", serial, err)
-		}
-		cancel()
-	}
-}
-
 func TestRunPreCanceled(t *testing.T) {
 	sys, err := hw.Get("2650v4")
 	if err != nil {
@@ -389,7 +213,7 @@ func TestRunPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs := buildSpecs(t, sys, 1021)
-	if _, err := testRunner(false).Run(ctx, specs); !errors.Is(err, context.Canceled) {
+	if _, err := runSpecs(ctx, testRunner(false), specs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Nothing may have run: every engine clock is still at zero.
@@ -439,7 +263,7 @@ func TestRunHooks(t *testing.T) {
 		},
 	}
 	specs := buildSpecs(t, sys, 1021)
-	if _, err := r.Run(context.Background(), specs); err != nil {
+	if _, err := runSpecs(context.Background(), r, specs); err != nil {
 		t.Fatal(err)
 	}
 	if len(started) != len(specs) || len(won) != len(specs) {

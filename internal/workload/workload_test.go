@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,11 +12,16 @@ type fake struct{ name string }
 func (f fake) Name() string                      { return f.name }
 func (f fake) Plan(Target, Params) (Plan, error) { return Plan{}, nil }
 
+// regSeq numbers TestRegistry's workloads: the registry is
+// process-global, so each invocation (-count=N) registers a fresh name.
+var regSeq atomic.Int64
+
 func TestRegistry(t *testing.T) {
-	if err := Register(fake{name: "reg-a"}); err != nil {
+	name := fmt.Sprintf("reg-%d", regSeq.Add(1))
+	if err := Register(fake{name: name}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Register(fake{name: "reg-a"}); err == nil {
+	if err := Register(fake{name: name}); err == nil {
 		t.Fatal("duplicate name must error")
 	}
 	if err := Register(nil); err == nil {
@@ -24,11 +31,11 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("empty name must error")
 	}
 
-	w, err := Get("reg-a")
+	w, err := Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name() != "reg-a" {
+	if w.Name() != name {
 		t.Fatalf("Get returned %q", w.Name())
 	}
 	if _, err := Get("reg-missing"); err == nil || !strings.Contains(err.Error(), "reg-missing") {
@@ -43,7 +50,7 @@ func TestRegistry(t *testing.T) {
 	}
 	found := false
 	for _, n := range names {
-		found = found || n == "reg-a"
+		found = found || n == name
 	}
 	if !found {
 		t.Fatalf("registered name missing from %v", names)

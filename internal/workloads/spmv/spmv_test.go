@@ -115,15 +115,15 @@ func TestTunedWinnerMatchesModelArgmax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := make([]sweep.Spec, len(plan.Sweeps))
+		nodes := make([]sweep.Node, len(plan.Sweeps))
 		for i, pl := range plan.Sweeps {
-			specs[i] = pl.Spec
+			nodes[i] = sweep.Node{ID: pl.ID, Spec: pl.Spec}
 		}
 		runner := &sweep.Runner{
 			Budget: bench.DefaultBudget().WithFlags(true, true, true),
 			Order:  core.OrderForward,
 		}
-		outs, err := runner.Run(context.Background(), specs)
+		outs, err := runner.RunPlan(context.Background(), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

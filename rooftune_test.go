@@ -2,7 +2,10 @@ package rooftune
 
 import (
 	"context"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,14 +17,27 @@ import (
 	"rooftune/internal/units"
 )
 
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// runSession builds a session from opts and runs it to completion.
+func runSession(t *testing.T, opts ...Option) *Result {
+	t.Helper()
+	sess, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSimulatedGold6148(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tuning run")
 	}
-	res, err := Simulated("Gold 6148", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSession(t, WithSystem("Gold 6148"))
 	if res.SystemName != "Gold 6148" || !strings.Contains(res.Engine, "sim") {
 		t.Fatalf("result header: %+v", res)
 	}
@@ -68,7 +84,7 @@ func TestSimulatedGold6148(t *testing.T) {
 }
 
 func TestSimulatedUnknownSystem(t *testing.T) {
-	if _, err := Simulated("warp-drive", nil); err == nil {
+	if _, err := New(WithSystem("warp-drive")); err == nil {
 		t.Fatal("unknown system must error")
 	}
 }
@@ -84,14 +100,10 @@ func TestSimulatedCustomSystem(t *testing.T) {
 		L2PerCore: 256 * units.KiB, L1PerCore: 32 * units.KiB,
 	}
 	// Small space for speed.
-	opt := &Options{Space: []core.Dims{
+	res := runSession(t, WithSystemSpec(sys), WithSpace([]core.Dims{
 		{N: 512, M: 512, K: 128}, {N: 1024, M: 1024, K: 128},
 		{N: 2048, M: 2048, K: 128},
-	}}
-	res, err := SimulatedSystem(sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if len(res.Compute) != 1 { // single socket system
 		t.Fatalf("compute points: %d", len(res.Compute))
 	}
@@ -108,19 +120,14 @@ func TestNativeQuick(t *testing.T) {
 	budget.Invocations = 1
 	budget.MaxIterations = 2
 	budget.MaxTime = time.Second
-	res, err := Native(&Options{
-		Budget:  &budget,
-		Threads: 2,
-		Space: []core.Dims{
-			{N: 64, M: 64, K: 64}, {N: 128, M: 128, K: 64},
-		},
-		TriadLo:    24 * units.KiB,
-		TriadHi:    3 * units.MiB,
-		AssumedLLC: 256 * units.KiB,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSession(t,
+		WithNative(),
+		WithBudget(budget),
+		WithThreads(2),
+		WithSpace([]core.Dims{{N: 64, M: 64, K: 64}, {N: 128, M: 128, K: 64}}),
+		WithTriadRange(24*units.KiB, 3*units.MiB),
+		WithAssumedLLC(256*units.KiB),
+	)
 	if len(res.Compute) != 1 || res.Compute[0].Flops <= 0 {
 		t.Fatalf("native compute: %+v", res.Compute)
 	}
@@ -156,27 +163,9 @@ func tinySystem() hw.System {
 	}
 }
 
-func tinyOptions(serial bool) *Options {
-	return &Options{
-		Space: []core.Dims{
-			{N: 512, M: 512, K: 128}, {N: 1024, M: 1024, K: 128},
-			{N: 2048, M: 2048, K: 128},
-		},
-		TriadLo: 16 * units.KiB,
-		TriadHi: 256 * units.MiB,
-		Serial:  serial,
-	}
-}
-
 func TestSimulatedParallelDeterminism(t *testing.T) {
-	serial, err := SimulatedSystem(tinySystem(), tinyOptions(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SimulatedSystem(tinySystem(), tinyOptions(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runSession(t, append(tinySessionOptions(), WithSerial())...)
+	parallel := runSession(t, tinySessionOptions()...)
 	// The concurrent sweeps must be bit-identical to the serial path:
 	// same winners, same peaks, same virtual search time, same roofline.
 	if !reflect.DeepEqual(serial, parallel) {
@@ -192,11 +181,11 @@ func TestSimulatedParallelDeterminism(t *testing.T) {
 // typed configuration, never a zero value from a failed key re-parse.
 func TestSimulatedWinningDims(t *testing.T) {
 	sys := tinySystem()
-	o := tinyOptions(true)
-	res, err := SimulatedSystem(sys, o)
-	if err != nil {
-		t.Fatal(err)
+	space := []core.Dims{
+		{N: 512, M: 512, K: 128}, {N: 1024, M: 1024, K: 128},
+		{N: 2048, M: 2048, K: 128},
 	}
+	res := runSession(t, WithSystemSpec(sys), WithSpace(space), WithSerial())
 	if len(res.Compute) != 1 {
 		t.Fatalf("compute points: %d", len(res.Compute))
 	}
@@ -207,8 +196,8 @@ func TestSimulatedWinningDims(t *testing.T) {
 	// Re-run the same sweep independently and compare against the typed
 	// winner of the tuner itself.
 	eng := bench.NewSimEngine(sys, 1021)
-	cases := make([]bench.Case, len(o.Space))
-	for i, d := range o.Space {
+	cases := make([]bench.Case, len(space))
+	for i, d := range space {
 		cases[i] = eng.DGEMMCase(d.N, d.M, d.K, 1)
 	}
 	b := bench.DefaultBudget().WithFlags(true, true, true)
@@ -274,20 +263,80 @@ func TestNativeQuickSpaceShape(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o *Options
-	d := o.withDefaults(false)
-	if d.Seed != 1021 || d.Budget == nil || len(d.Space) != 384 {
-		t.Fatalf("simulated defaults: %+v", d)
+// TestNewDefaults pins the documented defaults New resolves: the paper
+// seed, budget and union space for simulated targets, the interactive
+// budget and quick space for native ones.
+func TestNewDefaults(t *testing.T) {
+	sim, err := New(WithSystem("Gold 6148"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !d.Budget.UseConfidence || !d.Budget.UseInnerBound || !d.Budget.UseOuterBound {
+	d := sim.cfg
+	if d.seed != 1021 || d.budget == nil || len(d.space) != 384 {
+		t.Fatalf("simulated defaults: seed %d, budget %v, |space| %d", d.seed, d.budget, len(d.space))
+	}
+	if !d.budget.UseConfidence || !d.budget.UseInnerBound || !d.budget.UseOuterBound {
 		t.Fatal("default budget must be the paper's best technique")
 	}
-	n := o.withDefaults(true)
-	if n.Budget.Invocations != 3 || len(n.Space) != len(NativeQuickSpace()) {
-		t.Fatalf("native defaults: %+v", n.Budget)
+	native, err := New(WithNative())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.TriadHi != 256*units.MiB || d.TriadHi != 768*units.MiB {
+	n := native.cfg
+	if n.budget.Invocations != 3 || len(n.space) != len(NativeQuickSpace()) {
+		t.Fatalf("native defaults: %+v", n.budget)
+	}
+	if n.triadHi != 256*units.MiB || d.triadHi != 768*units.MiB {
 		t.Fatal("triad range defaults")
+	}
+	if n.llc != 32*units.MiB || d.triadLo != 3*units.KiB {
+		t.Fatal("LLC / triad lower bound defaults")
+	}
+}
+
+// TestSummaryGolden pins Result.Summary's exact rendering against
+// testdata/summary.golden (regenerate with -update).
+func TestSummaryGolden(t *testing.T) {
+	res := &Result{
+		SystemName: "demo",
+		Engine:     "sim:demo",
+		SearchTime: 90 * time.Second,
+		Compute: []ComputePoint{
+			{
+				// No Label: pins the legacy fallback rendering.
+				Sockets: 1, Dims: core.Dims{N: 4000, M: 512, K: 128},
+				Flops: 1400e9, Theoretical: 1536e9,
+			},
+			{
+				Label: "SpMV", Sockets: 1,
+				Config: bench.SpMVConfig{N: 1 << 18, NNZPerRow: 16, ChunkRows: 512, Sockets: 1},
+				Desc:   "n=262144 nnz/row=16 chunk=512 sockets=1",
+				Flops:  9.6e9, Intensity: 0.155,
+			},
+		},
+		Memory: []MemoryPoint{
+			// Per-level ceilings in decreasing-bandwidth order, the
+			// WithTriadLevels presentation shape.
+			{Sockets: 1, Region: "L1", Elements: 1 << 12, Bandwidth: 1500e9},
+			{Sockets: 1, Region: "L2", Elements: 1 << 16, Bandwidth: 860e9},
+			{Sockets: 1, Region: "L3", Elements: 1 << 18, Bandwidth: 300e9},
+			{Sockets: 1, Region: "DRAM", Elements: 1 << 24, Bandwidth: 60e9, Theoretical: 76.8e9},
+		},
+		// Warnings arrive workload-attributed from the session layer.
+		Warnings: []string{"workload triad: TRIAD L2 (1 sockets): no working-set sizes fall in the region"},
+	}
+	got := res.Summary()
+	golden := filepath.Join("testdata", "summary.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("summary drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }

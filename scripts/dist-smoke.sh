@@ -92,7 +92,7 @@ echo "== chained TRIAD-levels campaign: coordinator summary == in-process summar
 "$workdir/rooftool" -remote "$base" -system "Gold 6148" -workloads dgemm,triad \
   -triad-levels L2,L3,DRAM -chain -format summary >"$workdir/remote.txt" 2>/dev/null
 "$workdir/rooftool" -system "Gold 6148" -workloads dgemm,triad \
-  -triad-levels L2,L3,DRAM -chain -case-shards 1 -format summary >"$workdir/local.txt"
+  -triad-levels L2,L3,DRAM -chain -format summary >"$workdir/local.txt"
 cmp "$workdir/remote.txt" "$workdir/local.txt" \
   || { echo "distributed summary differs from in-process summary"; diff "$workdir/remote.txt" "$workdir/local.txt" || true; exit 1; }
 

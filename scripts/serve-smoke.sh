@@ -84,8 +84,7 @@ metric "$workdir/m1.txt" 'roofserve_cache_entries' 1
 echo "== rooftool -remote matches in-process summary bit for bit"
 "$workdir/rooftool" -remote "$base" -system "Gold 6148" -workloads dgemm \
   -format summary >"$workdir/remote.txt" 2>/dev/null
-"$workdir/rooftool" -system "Gold 6148" -workloads dgemm -case-shards 1 \
-  -format summary >"$workdir/local.txt"
+"$workdir/rooftool" -system "Gold 6148" -workloads dgemm -format summary >"$workdir/local.txt"
 cmp "$workdir/remote.txt" "$workdir/local.txt" \
   || { echo "remote summary differs from in-process summary"; diff "$workdir/remote.txt" "$workdir/local.txt" || true; exit 1; }
 

@@ -39,7 +39,6 @@ type settings struct {
 	stencilNX   int
 	stencilNY   int
 	serial      bool
-	caseShards  int
 	hostPar     int
 	progress    func(Event)
 	workloads   []string
@@ -223,13 +222,11 @@ func WithStencilGrid(nx, ny int) Option {
 	}
 }
 
-// WithSerial disables concurrent sweep execution on simulated targets.
-// Every sweep owns its engine, clock and noise streams, so parallel
-// results are bit-identical to serial ones (asserted by
-// TestSimulatedParallelDeterminism); WithSerial exists for debugging. A
-// serial session is fully single-threaded: the adaptive case-shard
-// default auto-disables too (an explicit WithCaseShards(n > 1) still
-// overrides).
+// WithSerial disables concurrent sweep execution on simulated targets:
+// it is a host-parallelism budget of one, so the session is fully
+// single-threaded. Every sweep owns its engine, clock and noise streams,
+// so parallel results are bit-identical to serial ones (asserted by
+// TestSimulatedParallelDeterminism); WithSerial exists for debugging.
 func WithSerial() Option {
 	return func(s *settings) error {
 		s.serial = true
@@ -244,10 +241,10 @@ func WithSerial() Option {
 // costs buffer space, though a persistently slow one eventually
 // back-pressures the sweeps. Within one Run, events are delivered one at
 // a time in the order they were emitted (case-evaluated events from
-// concurrent sweeps or shard workers interleave in completion order). The
-// drainer is closed and joined before Run returns, so no event arrives
-// after Run; a Session executes one Run at a time (see ErrConcurrentRun),
-// so the callback never observes two runs' events interleaved.
+// concurrent sweeps interleave in completion order). The drainer is
+// closed and joined before Run returns, so no event arrives after Run; a
+// Session executes one Run at a time (see ErrConcurrentRun), so the
+// callback never observes two runs' events interleaved.
 func WithProgress(fn func(Event)) Option {
 	return func(s *settings) error {
 		s.progress = fn
@@ -255,47 +252,16 @@ func WithProgress(fn func(Event)) Option {
 	}
 }
 
-// WithCaseShards pins how many workers evaluate configurations
-// concurrently within each sweep: 1 forces the strictly serial loop (the
-// paper's evaluation process), n > 1 fixes the shard pool, and 0 restores
-// the default adaptive policy — each sweep's pool is sized from the host
-// parallelism left over once sweep-level concurrency is accounted for,
-// capped by the sweep's case count, and sharding auto-disables whenever
-// sweep-level parallelism already saturates the host (so on most hosts
-// the default is still serial evaluation). Sharded workers share a
-// monotone atomic incumbent bound, so stop condition 4 keeps pruning
-// conservatively and the winning configuration and value match serial
-// execution exactly on the simulated engines — only PrunedCount,
-// TotalSamples and SearchTime may differ (toward less pruning, never
-// more). Case sharding requires a simulated target: native wall-clock
-// measurement would contend on the host, so New rejects n > 1 with
-// WithNative and native sessions always evaluate serially.
-func WithCaseShards(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("rooftune: WithCaseShards: negative shard count %d", n)
-		}
-		s.caseShards = n
-		return nil
-	}
-}
-
 // WithHostParallelism caps the total host parallelism the session's run
 // assumes it owns (default: GOMAXPROCS, i.e. the whole machine; 0 keeps
-// the default). Both sweep-level concurrency and the adaptive case-shard
-// policy size their pools inside the cap, so N sessions sharing one host
-// under a serving tier's budget (each handed roughly GOMAXPROCS/N)
-// divide the machine instead of oversubscribing it N-fold. The cap never
-// changes which configurations win on a simulated target — concurrent
-// sweep schedules are bit-identical to serial by construction — and with
-// a pinned shard count (WithCaseShards(1) or any explicit n) the entire
-// Result is invariant too. Under the adaptive shard default the shard
-// pool is sized from the cap, so only the search-cost accounting
-// (SearchTime, PrunedCount, TotalSamples) can shift with it; serving
-// tiers that content-address Results pin the shard count for exactly
-// this reason. The cap is deliberately excluded from Fingerprint. On
-// native targets it also bounds the default kernel thread count when
-// WithThreads is unset. Negative caps are rejected.
+// the default): at most that many sweeps run at once. N sessions sharing
+// one host under a serving tier's budget (each handed roughly
+// GOMAXPROCS/N) divide the machine instead of oversubscribing it N-fold.
+// The cap never changes a simulated target's Result — concurrent sweep
+// schedules are bit-identical to serial by construction — so it is
+// deliberately excluded from Fingerprint. On native targets it also
+// bounds the default kernel thread count when WithThreads is unset.
+// Negative caps are rejected.
 func WithHostParallelism(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -357,8 +323,6 @@ func New(opts ...Option) (*Session, error) {
 	if !s.targetSet {
 		return nil, fmt.Errorf("rooftune: no target: pass WithSystem, WithSystemSpec or WithNative")
 	}
-	// Defaults mirror the deprecated Options.withDefaults exactly, so the
-	// compatibility shims stay bit-identical.
 	if s.seed == 0 {
 		s.seed = 1021
 	}
@@ -421,9 +385,6 @@ func New(opts ...Option) (*Session, error) {
 	}
 	if s.stencilNX < 3 || s.stencilNY < 3 {
 		return nil, fmt.Errorf("rooftune: stencil grid %dx%d too small for a 5-point stencil", s.stencilNX, s.stencilNY)
-	}
-	if s.native && s.caseShards > 1 {
-		return nil, fmt.Errorf("rooftune: WithCaseShards(%d) requires a simulated target: concurrent wall-clock measurement would contend on the host", s.caseShards)
 	}
 	if s.native && len(s.triadLevels) > 0 {
 		return nil, fmt.Errorf("rooftune: WithTriadLevels requires a simulated target: the host's cache boundaries are unknown (native builds use the assumed-LLC cache/DRAM split)")
@@ -556,21 +517,19 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 }
 
 // newRunner builds the sweep runner every Run entry point (Run, RunDist,
-// RunNode) executes through: one place owns the budget, order, shard
-// policy and hook wiring, so a distributed run's per-node execution is
+// RunNode) executes through: one place owns the budget, order, host
+// budget and hook wiring, so a distributed run's per-node execution is
 // the exact machinery a local run uses.
 func (s *Session) newRunner(nodes []sweep.Node, emit func(Event)) *sweep.Runner {
 	runner := &sweep.Runner{
-		Budget:     *s.cfg.budget,
-		Order:      core.OrderForward,
-		Serial:     s.cfg.serial || s.cfg.native,
-		CaseShards: s.cfg.caseShards,
-		Host:       s.cfg.hostPar,
+		Budget: *s.cfg.budget,
+		Order:  core.OrderForward,
+		Host:   s.cfg.hostPar,
 	}
-	if s.cfg.native {
-		// Native measurement is wall-clock: shard workers would contend
-		// on the host, so the adaptive default is pinned off.
-		runner.CaseShards = 1
+	if s.cfg.serial || s.cfg.native {
+		// Native measurement is wall-clock: concurrent sweeps would
+		// contend on the host.
+		runner.Host = 1
 	}
 	if s.cfg.progress != nil {
 		// Seeding events name sweeps, not node IDs, and report the seed
@@ -648,10 +607,10 @@ func assembleResult(res *Result, outs []sweep.Outcome, points []Point) (*Result,
 		pt := points[i]
 		if out.Result.BestPruned {
 			// The sweep's every configuration was outer-pruned (a
-			// pre-seeded incumbent, routine once shard workers race
-			// ahead), so its "winner" is the highest truncated partial
-			// mean — a salvage value, not a measurement. Say so next to
-			// the numbers it taints.
+			// pre-seeded incumbent above the sweep's best), so its
+			// "winner" is the highest truncated partial mean — a salvage
+			// value, not a measurement. Say so next to the numbers it
+			// taints.
 			res.Warnings = append(res.Warnings, fmt.Sprintf(
 				"sweep %s: every configuration was outer-pruned; reporting the best truncated partial mean, not a measured winner", out.Name))
 		}
@@ -774,9 +733,8 @@ type Event struct {
 // startEvents starts this Run's progress fan-in: emit enqueues an event
 // on a buffered channel, and a single drainer goroutine delivers events
 // to the WithProgress callback one at a time, in emission order. The
-// channel decouples sweep and shard workers from the callback — with case
-// sharding, EventCaseEvaluated volume multiplies, and a mutex straight
-// into user code would serialise every shard worker behind it. stop
+// channel decouples concurrent sweeps from the callback — a mutex
+// straight into user code would serialise every sweep behind it. stop
 // closes the channel and joins the drainer; Run defers it, so no event is
 // delivered after Run returns. A nil callback costs one nil check.
 func (s *Session) startEvents() (emit func(Event), stop func()) {
@@ -806,8 +764,8 @@ func (s *Session) startEvents() (emit func(Event), stop func()) {
 }
 
 // eventBuffer is the per-Run progress channel capacity: deep enough that
-// bursts of case-evaluated events from concurrent shard workers almost
-// never block a sweep on the callback, small enough to bound memory and
+// bursts of case-evaluated events from concurrent sweeps almost never
+// block a sweep on the callback, small enough to bound memory and
 // keep a stuck callback visible as back-pressure rather than unbounded
 // growth.
 const eventBuffer = 256

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,9 +45,6 @@ func TestNewValidation(t *testing.T) {
 		{"degenerate stencil grid", []Option{WithSystem("Gold 6148"), WithStencilGrid(2, 512)}, "too small"},
 		{"negative stencil grid", []Option{WithSystem("Gold 6148"), WithStencilGrid(-4, 512)}, "negative grid"},
 		{"empty workloads", []Option{WithSystem("Gold 6148"), WithWorkloads()}, "no workloads"},
-		{"negative case shards", []Option{WithSystem("Gold 6148"), WithCaseShards(-1)}, "negative shard count"},
-		{"native case shards", []Option{WithNative(), WithCaseShards(2)}, "simulated target"},
-		{"case shards then native", []Option{WithCaseShards(4), WithNative()}, "simulated target"},
 		{"no triad levels", []Option{WithSystem("Gold 6148"), WithTriadLevels()}, "no residency levels"},
 		{"unknown triad level", []Option{WithSystem("Gold 6148"), WithTriadLevels("L7")}, `"L7"`},
 		{"duplicate triad level", []Option{WithSystem("Gold 6148"), WithTriadLevels("L2", "L2")}, "twice"},
@@ -583,40 +581,6 @@ func TestSessionRerunDeterministic(t *testing.T) {
 	}
 }
 
-func TestSessionCaseShardInvariance(t *testing.T) {
-	serialSess, err := New(tinySessionOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := serialSess.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		sess, err := New(append(tinySessionOptions(), WithCaseShards(shards))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The tuned points — winning configurations and values — are
-		// shard-count-invariant. SearchTime is not compared: a sharded
-		// schedule may prune differently (only ever less), so its summed
-		// virtual cost may legitimately differ.
-		if !reflect.DeepEqual(res.Compute, serial.Compute) {
-			t.Fatalf("shards=%d: compute points diverged:\n%+v\nserial:\n%+v", shards, res.Compute, serial.Compute)
-		}
-		if !reflect.DeepEqual(res.Memory, serial.Memory) {
-			t.Fatalf("shards=%d: memory points diverged:\n%+v\nserial:\n%+v", shards, res.Memory, serial.Memory)
-		}
-		if len(res.Warnings) != len(serial.Warnings) {
-			t.Fatalf("shards=%d: warnings %v, serial %v", shards, res.Warnings, serial.Warnings)
-		}
-	}
-}
-
 func TestAssembleResultFlagsSalvagedWinner(t *testing.T) {
 	// A sweep whose every configuration was outer-pruned reports a
 	// truncated partial mean as its best; the session must say so instead
@@ -671,17 +635,23 @@ func TestWorkloadSelection(t *testing.T) {
 }
 
 func TestRegisterWorkloadRejectsDuplicate(t *testing.T) {
-	if err := RegisterWorkload(dupWorkload{}); err != nil {
+	// The registry is process-global, so each invocation (-count=N)
+	// registers a fresh name.
+	w := dupWorkload{name: fmt.Sprintf("test-dup-%d", dupSeq.Add(1))}
+	if err := RegisterWorkload(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterWorkload(dupWorkload{}); err == nil {
+	if err := RegisterWorkload(w); err == nil {
 		t.Fatal("duplicate registration must error")
 	}
 }
 
-type dupWorkload struct{}
+// dupSeq numbers the registry-duplicate test's workloads.
+var dupSeq atomic.Int64
 
-func (dupWorkload) Name() string { return "test-dup" }
+type dupWorkload struct{ name string }
+
+func (w dupWorkload) Name() string { return w.name }
 func (dupWorkload) Plan(Target, Params) (Plan, error) {
 	return Plan{}, fmt.Errorf("never planned")
 }
