@@ -2,7 +2,6 @@ package rooftune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,17 +14,19 @@ import (
 // This file is the distributed tier's seam through the Session: RunDist
 // drives the normal plan-graph schedule but delegates each node to a
 // NodeExec (the coordinator side), and RunNode executes exactly one
-// plan node and returns its wire outcome (the worker side). Both reuse
-// the same planning, validation, runner and result assembly as Run, so
-// a distributed run that applies the same seeds produces a Result
-// byte-identical to a local one.
+// plan node and returns its wire outcome (the worker side). Run, RunDist
+// and RunNode share one execution path (Session.execute: planning,
+// validation, runner and error mapping), and Run is RunDist with no
+// executor, so a distributed run that applies the same seeds produces a
+// Result byte-identical to a local one.
 
 // ErrExecLocal, returned (or wrapped) by a NodeExec, tells RunDist to
 // run that node in-process instead — the graceful fallback when no
 // remote worker is live. The node runs with the exact seed a plain Run
 // would have used, so a partially remote run is still bit-identical to
-// a local one.
-var ErrExecLocal = errors.New("rooftune: node executor unavailable; running locally")
+// a local one. It is the sweep layer's own fallback signal, so it
+// reaches the scheduler untranslated.
+var ErrExecLocal = sweep.ErrExecUnavailable
 
 // NodeExec executes one plan-graph node somewhere else — the
 // distributed coordinator's dispatch hook. nodeID names the node;
@@ -77,51 +78,41 @@ func (s *Session) RunDist(ctx context.Context, exec NodeExec) (*Result, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("rooftune: RunDist: nil NodeExec")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.running.CompareAndSwap(false, true) {
-		return nil, ErrConcurrentRun
-	}
-	defer s.running.Store(false)
-	emit, stopEvents := s.startEvents()
-	defer stopEvents()
+	return s.runPlan(ctx, exec)
+}
 
-	target, res := s.target()
-	nodes, points, err := s.plan(target, res, emit)
+// runPlan executes the whole plan graph and assembles the Result. A nil
+// exec runs every node in-process (Run); otherwise each node is
+// delegated to exec (RunDist).
+func (s *Session) runPlan(ctx context.Context, exec NodeExec) (*Result, error) {
+	var outs []sweep.Outcome
+	res, points, err := s.execute(ctx, func(ctx context.Context, runner *sweep.Runner, nodes []sweep.Node) (err error) {
+		if exec != nil {
+			runner.Exec = remoteExec(nodes, exec)
+		}
+		outs, err = runner.RunPlan(ctx, nodes)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !s.cfg.chain {
-		for i := range nodes {
-			nodes[i].SeedFrom = ""
-		}
-	}
-	index := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		index[n.ID] = i
-	}
+	return assembleResult(res, outs, points)
+}
 
-	runner := s.newRunner(nodes, emit)
-	runner.Exec = func(ctx context.Context, n sweep.Node, _ string, seedValue float64) (sweep.Outcome, error) {
+// remoteExec adapts a NodeExec to the sweep runner's executor hook,
+// rebuilding each node's outcome from its wire form.
+func remoteExec(nodes []sweep.Node, exec NodeExec) sweep.ExecFunc {
+	byID := make(map[string]sweep.Node, len(nodes))
+	for _, n := range nodes {
+		byID[n.ID] = n
+	}
+	return func(ctx context.Context, n sweep.Node, _ string, seedValue float64) (sweep.Outcome, error) {
 		no, err := exec(ctx, n.ID, seedValue)
 		if err != nil {
-			if errors.Is(err, ErrExecLocal) {
-				return sweep.Outcome{}, sweep.ErrExecUnavailable
-			}
 			return sweep.Outcome{}, err
 		}
-		return outcomeFromWire(nodes[index[n.ID]], no)
+		return outcomeFromWire(byID[n.ID], no)
 	}
-
-	outs, err := runner.RunPlan(ctx, nodes)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("rooftune: %w", err)
-	}
-	return assembleResult(res, outs, points)
 }
 
 // RunNode plans the session's campaign and executes exactly one of its
@@ -135,37 +126,17 @@ func (s *Session) RunDist(ctx context.Context, exec NodeExec) (*Result, error) {
 // are harmless whenever they arrive). The one-Run-at-a-time contract
 // applies (ErrConcurrentRun).
 func (s *Session) RunNode(ctx context.Context, nodeID string, seedValue float64, bound *SharedBound) (*distv1.NodeOutcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.running.CompareAndSwap(false, true) {
-		return nil, ErrConcurrentRun
-	}
-	defer s.running.Store(false)
-	emit, stopEvents := s.startEvents()
-	defer stopEvents()
-
-	target, res := s.target()
-	nodes, _, err := s.plan(target, res, emit)
-	if err != nil {
-		return nil, err
-	}
-	if !s.cfg.chain {
-		for i := range nodes {
-			nodes[i].SeedFrom = ""
-		}
-	}
-	runner := s.newRunner(nodes, emit)
 	var inc *bench.AtomicIncumbent
 	if bound != nil {
 		inc = bound.inc
 	}
-	out, err := runner.RunNode(ctx, nodes, nodeID, seedValue, inc)
+	var out sweep.Outcome
+	_, _, err := s.execute(ctx, func(ctx context.Context, runner *sweep.Runner, nodes []sweep.Node) (err error) {
+		out, err = runner.RunNode(ctx, nodes, nodeID, seedValue, inc)
+		return err
+	})
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("rooftune: %w", err)
+		return nil, err
 	}
 	return outcomeToWire(&out)
 }

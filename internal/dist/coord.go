@@ -61,11 +61,11 @@ type Stats struct {
 }
 
 // Coordinator fans a campaign's plan-graph nodes out to the worker
-// fleet. It owns no scheduling logic of its own: Run drives
-// Session.RunDist, which executes the normal topological plan schedule
-// and calls back into the coordinator once per ready node; the
+// fleet. It owns no scheduling logic of its own: the caller's
+// Session.RunDist executes the normal topological plan schedule and
+// calls the coordinator's Exec hook once per ready node; the
 // coordinator's job is purely transport and robustness — worker
-// selection, leases, requeue, dedupe and the local fallback.
+// placement, leases, requeue, dedupe and the local fallback.
 type Coordinator struct {
 	pool   *Pool
 	lease  time.Duration
@@ -163,29 +163,20 @@ func (c *Coordinator) Workers() (live, dead int) {
 	return c.pool.Live(), c.pool.Dead()
 }
 
-// Run executes the campaign's plan graph across the fleet and returns a
-// Result byte-identical to what sess.Run would have produced locally.
-// opts must be the resolved options the campaign fingerprints to —
-// workers rebuild the session from the wire campaign and verify the
-// fingerprint matches before running, so the campaign JSON and the
-// options must describe the same session.
-func (c *Coordinator) Run(ctx context.Context, camp servev1.Campaign, opts []rooftune.Option) (*rooftune.Result, error) {
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	campFP, err := sess.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
+// Exec returns the node executor that runs camp's plan-graph nodes on
+// the fleet; pass it to the campaign's Session.RunDist. campFP must be
+// the fingerprint of the session camp resolves to — the caller already
+// computed it as its cache key — because workers rebuild the session
+// from the wire campaign and refuse a node whose fingerprint does not
+// match.
+func (c *Coordinator) Exec(camp servev1.Campaign, campFP string) rooftune.NodeExec {
 	campJSON, err := json.Marshal(camp)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode campaign: %w", err)
-	}
-	exec := func(ctx context.Context, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {
+	return func(ctx context.Context, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {
+		if err != nil {
+			return nil, fmt.Errorf("dist: encode campaign: %w", err)
+		}
 		return c.execNode(ctx, campJSON, campFP, nodeID, seedValue)
 	}
-	return sess.RunDist(ctx, exec)
 }
 
 // attemptResult is one dispatch attempt's terminal report back to the
@@ -198,11 +189,12 @@ type attemptResult struct {
 	dead      bool // the failure indicts the worker, not the node spec
 }
 
-// execNode runs one plan node remotely: dispatch to the least-loaded
-// live worker, requeue on failure or lease expiry (without cancelling
-// the slow attempt — completion is idempotent by fingerprint and first
-// answer wins), dedupe late duplicates, and fall back to local
-// execution when the fleet is exhausted.
+// execNode runs one plan node remotely: dispatch to the live worker the
+// node fingerprint places it on (Pool.pick), requeue on failure or
+// lease expiry (without cancelling the slow attempt — completion is
+// idempotent by fingerprint and first answer wins), dedupe late
+// duplicates, and fall back to local execution when the fleet is
+// exhausted.
 func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {
 	fp := distv1.NodeFingerprint(campFP, nodeID, seedValue)
 	spec := distv1.NodeSpec{
@@ -225,10 +217,10 @@ func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nod
 	tried := make(map[string]bool)
 	start := time.Now()
 
-	// launch claims the next untried live worker and starts an attempt;
-	// false means the fleet is exhausted for this node.
+	// launch places the node on its next-ranked untried live worker and
+	// starts an attempt; false means the fleet is exhausted for this node.
 	launch := func() bool {
-		url, ok := c.pool.pick(tried)
+		url, ok := c.pool.pick(fp, tried)
 		if !ok {
 			return false
 		}
@@ -312,7 +304,6 @@ func (c *Coordinator) await(ctx context.Context, results chan attemptResult, lau
 // won) are counted as deduped and dropped without a report — the loop
 // stopped listening the moment the winner arrived.
 func (c *Coordinator) attempt(ctx context.Context, url string, body []byte, fp string, won *atomic.Bool, results chan<- attemptResult) {
-	defer c.pool.release(url)
 	out, retryable, dead, err := c.postNode(ctx, url, body)
 	if err == nil && !won.CompareAndSwap(false, true) {
 		c.deduped.Add(1)

@@ -31,33 +31,54 @@ const chainedCampaign = `{
 	"triadHiBytes": 268435456
 }`
 
-// parseCampaign resolves the JSON campaign into (wire form, options).
-func parseCampaign(t *testing.T, src string) (servev1.Campaign, []rooftune.Option) {
-	t.Helper()
-	camp, err := campaign.Parse(strings.NewReader(src))
+// resolve builds the chained campaign's session the way the daemon
+// does, returning the wire form beside it.
+func resolve() (servev1.Campaign, *rooftune.Session, error) {
+	camp, err := campaign.Parse(strings.NewReader(chainedCampaign))
 	if err != nil {
-		t.Fatal(err)
+		return camp, nil, err
 	}
 	opts, err := campaign.Options(camp)
 	if err != nil {
-		t.Fatal(err)
+		return camp, nil, err
 	}
-	return camp, opts
+	sess, err := rooftune.New(opts...)
+	return camp, sess, err
 }
 
-// localRun is the reference: the same campaign run in-process.
-func localRun(t *testing.T, src string) *rooftune.Result {
+// distRun runs the chained campaign through the coordinator exactly as
+// the daemon does on a cache miss: one session, its fingerprint as the
+// campaign address, every node offered to the coordinator's executor.
+func distRun(ctx context.Context, c *Coordinator) (*rooftune.Result, error) {
+	camp, sess, err := resolve()
+	if err != nil {
+		return nil, err
+	}
+	fp, err := sess.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	return sess.RunDist(ctx, c.Exec(camp, fp))
+}
+
+// requireLocal fails the test unless res is byte-identical to the
+// chained campaign run in-process — same Summary, same everything.
+func requireLocal(t *testing.T, what string, res *rooftune.Result) {
 	t.Helper()
-	_, opts := parseCampaign(t, src)
-	sess, err := rooftune.New(opts...)
+	_, sess, err := resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run(context.Background())
+	local, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if res.Summary() != local.Summary() {
+		t.Fatalf("%s: summary differs from local:\ndist:\n%s\nlocal:\n%s", what, res.Summary(), local.Summary())
+	}
+	if !reflect.DeepEqual(*res, *local) {
+		t.Fatalf("%s: Result differs from local run:\ndist  %+v\nlocal %+v", what, *res, *local)
+	}
 }
 
 // testWorker is one in-process roofworkerd: the real Worker behind an
@@ -110,18 +131,11 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	w2 := startWorker(t, "w2", nil)
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	res, err := distRun(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := localRun(t, chainedCampaign)
-	if res.Summary() != local.Summary() {
-		t.Fatalf("distributed summary differs from local:\ndist:\n%s\nlocal:\n%s", res.Summary(), local.Summary())
-	}
-	if !reflect.DeepEqual(*res, *local) {
-		t.Fatalf("distributed Result differs from local:\ndist  %+v\nlocal %+v", *res, *local)
-	}
+	requireLocal(t, "distributed run", res)
 	if st := c.Stats(); st.Dispatched == 0 {
 		t.Fatal("nothing dispatched — the run did not go through the workers")
 	} else if st.LocalFallback != 0 {
@@ -132,23 +146,39 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	}
 }
 
-// killShim simulates a worker killed mid-sweep: it answers normally
-// (heartbeats enroll it) until the first node dispatch arrives, then
-// drops that connection and every later one with no coherent response.
-type killShim struct {
-	next   http.Handler
-	killed atomic.Bool
+// faultShim injects one fault into whichever worker receives the
+// fleet's first run request — the victim — so the fault lands however
+// the nodes are placed. With kill set the victim is killed at that
+// request: it and every later request to it are dropped with no
+// coherent response. With delay set each of the victim's run requests
+// is held for delay before delegating — a healthy-but-slow worker that
+// outlives its leases.
+type faultShim struct {
+	kill   bool
+	delay  time.Duration
+	victim atomic.Value // string: the faulted worker's name
 }
 
-func (k *killShim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if k.killed.Load() {
-		panic(http.ErrAbortHandler)
+// wrap returns the shim for the worker named name (startWorker's shim
+// argument).
+func (f *faultShim) wrap(name string) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			run := r.URL.Path == distv1.PathRun
+			if run {
+				f.victim.CompareAndSwap(nil, name)
+			}
+			if f.victim.Load() == name {
+				if f.kill {
+					panic(http.ErrAbortHandler)
+				}
+				if run {
+					time.Sleep(f.delay)
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
 	}
-	if r.URL.Path == distv1.PathRun {
-		k.killed.Store(true)
-		panic(http.ErrAbortHandler)
-	}
-	k.next.ServeHTTP(w, r)
 }
 
 // TestWorkerKillMidSweepRequeues: a worker dies on its first dispatched
@@ -156,24 +186,16 @@ func (k *killShim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // dead, requeues onto the surviving worker, and the final Result is
 // byte-identical to an uninterrupted local run.
 func TestWorkerKillMidSweepRequeues(t *testing.T) {
-	w1 := startWorker(t, "w1", func(next http.Handler) http.Handler {
-		return &killShim{next: next}
-	})
-	w2 := startWorker(t, "w2", nil)
+	shim := &faultShim{kill: true}
+	w1 := startWorker(t, "w1", shim.wrap("w1"))
+	w2 := startWorker(t, "w2", shim.wrap("w2"))
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	res, err := distRun(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := localRun(t, chainedCampaign)
-	if res.Summary() != local.Summary() {
-		t.Fatalf("summary after worker kill differs from local:\ndist:\n%s\nlocal:\n%s", res.Summary(), local.Summary())
-	}
-	if !reflect.DeepEqual(*res, *local) {
-		t.Fatal("Result after worker kill differs from uninterrupted local run")
-	}
+	requireLocal(t, "after worker kill", res)
 	st := c.Stats()
 	if st.Requeued == 0 {
 		t.Fatalf("worker died but nothing was requeued: %+v", st)
@@ -181,23 +203,13 @@ func TestWorkerKillMidSweepRequeues(t *testing.T) {
 	if st.WorkerErrors == 0 {
 		t.Fatalf("worker died but no worker error recorded: %+v", st)
 	}
-	if w1.w.nodesRun.Load() != 0 {
-		t.Fatalf("the killed worker measured %d nodes", w1.w.nodesRun.Load())
+	killed := w1
+	if shim.victim.Load() == "w2" {
+		killed = w2
 	}
-}
-
-// delayShim holds every run request for d before delegating —
-// a healthy-but-slow worker that outlives its leases.
-type delayShim struct {
-	next http.Handler
-	d    time.Duration
-}
-
-func (s *delayShim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == distv1.PathRun {
-		time.Sleep(s.d)
+	if n := killed.w.nodesRun.Load(); n != 0 {
+		t.Fatalf("the killed worker %s measured %d nodes", killed.w.name, n)
 	}
-	s.next.ServeHTTP(w, r)
 }
 
 // TestLeaseExpiryDuplicateCompletionDedupe: a slow worker's lease
@@ -205,27 +217,19 @@ func (s *delayShim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // slow worker's late completion is deduped — dropped without touching
 // the Result, which stays byte-identical to local.
 func TestLeaseExpiryDuplicateCompletionDedupe(t *testing.T) {
-	slow := startWorker(t, "slow", func(next http.Handler) http.Handler {
-		return &delayShim{next: next, d: 400 * time.Millisecond}
-	})
-	fast := startWorker(t, "fast", nil)
-	c := newTestCoordinator(t, 50*time.Millisecond, slow, fast)
+	shim := &faultShim{delay: 400 * time.Millisecond}
+	w1 := startWorker(t, "w1", shim.wrap("w1"))
+	w2 := startWorker(t, "w2", shim.wrap("w2"))
+	c := newTestCoordinator(t, 50*time.Millisecond, w1, w2)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	res, err := distRun(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := localRun(t, chainedCampaign)
-	if res.Summary() != local.Summary() {
-		t.Fatalf("summary with duplicate completions differs from local:\ndist:\n%s\nlocal:\n%s", res.Summary(), local.Summary())
-	}
-	if !reflect.DeepEqual(*res, *local) {
-		t.Fatal("Result with duplicate completions differs from local run")
-	}
+	requireLocal(t, "with duplicate completions", res)
 	st := c.Stats()
 	if st.LeaseExpired == 0 {
-		t.Fatalf("no lease expired against a %v-delayed worker: %+v", 400*time.Millisecond, st)
+		t.Fatalf("no lease expired against a %v-delayed worker: %+v", shim.delay, st)
 	}
 	if st.Requeued == 0 {
 		t.Fatalf("lease expired but nothing requeued: %+v", st)
@@ -242,14 +246,13 @@ func TestLeaseExpiryDuplicateCompletionDedupe(t *testing.T) {
 
 // TestCoordinatorRestartInFlightLeases: a coordinator dies (context
 // cancelled) while nodes are in flight; a fresh coordinator replays the
-// sweep against the same fleet. In-flight nodes are joined and
-// completed ones answered from the workers' completion caches — the
-// replay is correct and byte-identical to local.
+// sweep against the same fleet. Placement is by node fingerprint, so
+// every coordinator sends a node to the same worker: in-flight nodes
+// are joined and completed ones answered from that worker's completion
+// cache — the replay is correct and byte-identical to local.
 func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	w1 := startWorker(t, "w1", nil)
 	w2 := startWorker(t, "w2", nil)
-
-	camp, opts := parseCampaign(t, chainedCampaign)
 
 	// First coordinator: cancelled almost immediately, mid-dispatch.
 	c1 := newTestCoordinator(t, time.Minute, w1, w2)
@@ -257,7 +260,7 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c1.Run(ctx1, camp, opts)
+		_, _ = distRun(ctx1, c1)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel1()
@@ -267,28 +270,20 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	// coordinator managed to start is either still running (joined) or
 	// cached (replayed) on the workers.
 	c2 := newTestCoordinator(t, time.Minute, w1, w2)
-	res, err := c2.Run(context.Background(), camp, opts)
+	res, err := distRun(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := localRun(t, chainedCampaign)
-	if res.Summary() != local.Summary() {
-		t.Fatalf("summary after coordinator restart differs from local:\ndist:\n%s\nlocal:\n%s", res.Summary(), local.Summary())
-	}
-	if !reflect.DeepEqual(*res, *local) {
-		t.Fatal("Result after coordinator restart differs from local run")
-	}
+	requireLocal(t, "after coordinator restart", res)
 	// Idempotency: replaying the whole campaign a second time measures
 	// nothing — every node answers from the completion caches.
 	before := w1.w.nodesRun.Load() + w2.w.nodesRun.Load()
 	c3 := newTestCoordinator(t, time.Minute, w1, w2)
-	res2, err := c3.Run(context.Background(), camp, opts)
+	res2, err := distRun(context.Background(), c3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(*res2, *local) {
-		t.Fatal("replayed Result differs from local run")
-	}
+	requireLocal(t, "replay", res2)
 	if after := w1.w.nodesRun.Load() + w2.w.nodesRun.Load(); after != before {
 		t.Fatalf("replay re-measured nodes: %d fresh runs", after-before)
 	}
@@ -310,18 +305,11 @@ func TestLocalFallbackNoWorkers(t *testing.T) {
 	defer cancel()
 	c.Start(ctx)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	res, err := distRun(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := localRun(t, chainedCampaign)
-	if res.Summary() != local.Summary() {
-		t.Fatalf("fallback summary differs from local:\ndist:\n%s\nlocal:\n%s", res.Summary(), local.Summary())
-	}
-	if !reflect.DeepEqual(*res, *local) {
-		t.Fatal("fallback Result differs from local run")
-	}
+	requireLocal(t, "local fallback", res)
 	if st := c.Stats(); st.LocalFallback == 0 {
 		t.Fatalf("dead fleet but no local fallback recorded: %+v", st)
 	}

@@ -6,9 +6,10 @@
 // The design premise is that RunPlan already has the right shape for
 // distribution — a topological schedule with seed edges and
 // per-outcome provenance — so the coordinator does not reimplement it:
-// it drives Session.RunDist, which executes the normal plan schedule
-// and delegates each ready node to the coordinator's dispatch hook with
-// exactly the seed a local run would have applied. A dependent node is
+// the daemon's Session.RunDist executes the normal plan schedule and
+// delegates each ready node to the coordinator's dispatch hook
+// (Coordinator.Exec) with exactly the seed a local run would have
+// applied. A dependent node is
 // therefore dispatched only after its dependency's measured winner
 // arrived, and the merged Result — winners, warnings, search-cost
 // accounting, Summary — is byte-identical to a local RunPlan's.
@@ -17,14 +18,17 @@
 //
 //   - Workers enroll via heartbeat (Pool); a worker that stops
 //     answering is marked dead and receives no new nodes.
+//   - Nodes are placed by node fingerprint (distv1.NodeFingerprint):
+//     rendezvous hashing over the live workers, so every coordinator,
+//     a restarted one included, sends a node to the same worker.
 //   - Every dispatch carries a lease. A node still unanswered when the
-//     lease expires is requeued to another live worker without
+//     lease expires is requeued to its next-ranked live worker without
 //     cancelling the first attempt — the slow worker may yet answer.
-//   - Dispatch is idempotent by node fingerprint
-//     (distv1.NodeFingerprint): workers cache completions, so a
-//     requeued or replayed node re-measures nothing, and duplicate
-//     completions dedupe on the coordinator (first answer wins, the
-//     rest are counted and dropped).
+//   - Dispatch is idempotent by node fingerprint: each worker keeps its
+//     completions in the serving tier's LRU store (internal/serve/cache)
+//     and joins duplicates of a running node, so a requeued or replayed
+//     node re-measures nothing, and duplicate completions dedupe on the
+//     coordinator (first answer wins, the rest are counted and dropped).
 //   - Incumbent bounds are shared asynchronously mid-sweep using the
 //     monotone CAS-max protocol (rooftune.SharedBound), which is
 //     order-insensitive — late, duplicate or reordered pushes are
@@ -38,6 +42,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"sync"
 	"time"
@@ -59,16 +64,15 @@ const (
 
 // workerRef is one enrolled worker. All fields are guarded by Pool.mu.
 type workerRef struct {
-	url      string
-	name     string // self-reported on the last successful probe
-	state    workerState
-	inflight int // coordinator-side dispatches outstanding
+	url   string
+	name  string // self-reported on the last successful probe
+	state workerState
 }
 
 // Pool tracks the worker fleet: a fixed URL set enrolled and
-// health-checked via the dist/v1 heartbeat. Dispatch picks the
-// least-loaded live worker; a failed probe or dispatch marks the worker
-// dead until a later probe revives it.
+// health-checked via the dist/v1 heartbeat. Dispatch places each node
+// by its fingerprint (rendezvous hashing, see pick); a failed probe or
+// dispatch marks the worker dead until a later probe revives it.
 type Pool struct {
 	client    *http.Client
 	heartbeat time.Duration
@@ -174,37 +178,30 @@ func (p *Pool) probe(ctx context.Context, url string) (distv1.Heartbeat, error) 
 	return hb, nil
 }
 
-// pick claims the least-loaded live worker not in exclude, returning
-// its URL and bumping its in-flight count. ok is false when no live
-// worker remains — the caller falls back to local execution.
-func (p *Pool) pick(exclude map[string]bool) (url string, ok bool) {
+// pick places the node with fingerprint fp: of the live workers not in
+// exclude, the one with the highest rendezvous hash of (fp, URL). The
+// ranking depends only on fp and the URL set, so every coordinator —
+// including one restarted mid-campaign — sends a node to the same
+// worker, whose completion cache then answers replays; a requeue moves
+// the node to its next-ranked worker. ok is false when no live worker
+// remains — the caller falls back to local execution.
+func (p *Pool) pick(fp string, exclude map[string]bool) (url string, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var best *workerRef
+	var best uint64
 	for _, w := range p.workers {
 		if w.state != workerLive || exclude[w.url] {
 			continue
 		}
-		if best == nil || w.inflight < best.inflight {
-			best = w
+		h := fnv.New64a()
+		h.Write([]byte(fp))
+		h.Write([]byte{0})
+		h.Write([]byte(w.url))
+		if score := h.Sum64(); !ok || score > best || (score == best && w.url < url) {
+			best, url, ok = score, w.url, true
 		}
 	}
-	if best == nil {
-		return "", false
-	}
-	best.inflight++
-	return best.url, true
-}
-
-// release returns a claim taken by pick.
-func (p *Pool) release(url string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.url == url && w.inflight > 0 {
-			w.inflight--
-		}
-	}
+	return url, ok
 }
 
 // markDead records a dispatch-observed failure: the worker receives no
@@ -229,26 +226,18 @@ func (p *Pool) size() int {
 }
 
 // Live counts workers the pool currently considers healthy.
-func (p *Pool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, w := range p.workers {
-		if w.state == workerLive {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pool) Live() int { return p.count(workerLive) }
 
 // Dead counts workers the pool currently considers failed (unknown,
 // never-probed workers are neither live nor dead).
-func (p *Pool) Dead() int {
+func (p *Pool) Dead() int { return p.count(workerDead) }
+
+func (p *Pool) count(state workerState) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
 	for _, w := range p.workers {
-		if w.state == workerDead {
+		if w.state == state {
 			n++
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"rooftune"
 	distv1 "rooftune/dist/v1"
 	"rooftune/internal/parallel"
+	"rooftune/internal/serve/cache"
 	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/metrics"
 )
@@ -28,8 +29,9 @@ type WorkerConfig struct {
 	// evaluating its cases serially.
 	Parallelism int
 	// CacheEntries bounds the completed-node cache that makes dispatch
-	// idempotent (<=0: 256). Entries are small (one wire outcome each);
-	// evicting one only costs a re-measure on replay.
+	// idempotent (<=0: the cache default, 256). Entries are small (one
+	// wire outcome each); evicting one only costs a re-measure on
+	// replay.
 	CacheEntries int
 }
 
@@ -57,12 +59,16 @@ type Worker struct {
 	base     context.Context
 	name     string
 	capacity int
-	maxDone  int
 
+	// mu makes "completed, running or new" one decision: handleRun checks
+	// done then running under it, and execute stores into done before
+	// deleting from running under it, so a replay arriving as a node
+	// finishes is answered without re-measuring.
 	mu      sync.Mutex
 	running map[string]*runningNode
-	done    map[string][]byte // fingerprint -> completed wire outcome
-	order   []string          // done-cache FIFO eviction order
+	// done is the completed-node store (fingerprint -> wire outcome),
+	// the same LRU implementation the serving tier caches Results in.
+	done *cache.Cache
 
 	metrics      *metrics.Set
 	nodesRun     atomic.Uint64
@@ -77,19 +83,17 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 	if base == nil {
 		base = context.Background()
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = parallel.DefaultThreads()
 	}
+	// Without a persistence directory cache.New cannot fail.
+	done, _ := cache.New(cache.Config{MaxEntries: cfg.CacheEntries})
 	w := &Worker{
 		base:     base,
 		name:     cfg.Name,
 		capacity: cfg.Parallelism,
-		maxDone:  cfg.CacheEntries,
 		running:  make(map[string]*runningNode),
-		done:     make(map[string][]byte),
+		done:     done,
 		metrics:  metrics.NewSet(),
 	}
 	w.metrics.CounterFunc("roofdist_worker_nodes_total", "",
@@ -206,7 +210,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	// Idempotent completion: answer from the cache, join a running
 	// node, or claim the fingerprint and measure.
 	w.mu.Lock()
-	if cached, ok := w.done[want]; ok {
+	if cached, ok := w.done.Get(want); ok {
 		w.mu.Unlock()
 		w.dedupeHits.Add(1)
 		w.respond(rw, http.StatusOK, want, true, cached)
@@ -233,10 +237,10 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 }
 
 // execute measures the claimed node on the session handleRun resolved
-// and publishes its terminal state: out/status filled, the fingerprint
-// moved from running to the completed cache (successes only — failures
-// are transient), done closed last so joiners observe a fully-written
-// result.
+// and publishes its terminal state: out/status filled, the outcome
+// stored in the completed cache (successes only — failures are
+// transient) before the fingerprint leaves running, done closed last so
+// joiners observe a fully-written result.
 func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.NodeSpec, fp string) {
 	if spec.SeedValue > 0 {
 		rn.bound.Offer(spec.SeedValue)
@@ -245,38 +249,29 @@ func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.No
 	out, err := sess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
 	w.nodeSeconds.Observe(time.Since(start).Seconds())
 
-	var status int
 	var body []byte
-	if err != nil {
-		status = http.StatusInternalServerError
-		env := distv1.ErrorEnvelope{Error: distv1.Error{Code: distv1.CodeNodeFailed, Message: err.Error()}}
-		body, _ = json.Marshal(env)
-	} else {
+	if err == nil {
 		out.Worker = w.name
 		out.Fingerprint = fp
 		body, err = json.Marshal(out)
-		if err != nil {
-			status = http.StatusInternalServerError
-			env := distv1.ErrorEnvelope{Error: distv1.Error{Code: distv1.CodeNodeFailed, Message: err.Error()}}
-			body, _ = json.Marshal(env)
-		} else {
-			status = http.StatusOK
-			w.nodesRun.Add(1)
-		}
+	}
+	status := http.StatusOK
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(distv1.ErrorEnvelope{Error: distv1.Error{Code: distv1.CodeNodeFailed, Message: err.Error()}})
+	} else {
+		w.nodesRun.Add(1)
 	}
 	rn.out = body
 	rn.status = status
 
 	w.mu.Lock()
-	delete(w.running, fp)
 	if status == http.StatusOK {
-		w.done[fp] = body
-		w.order = append(w.order, fp)
-		for len(w.order) > w.maxDone {
-			delete(w.done, w.order[0])
-			w.order = w.order[1:]
-		}
+		// A node fingerprint is a hex SHA-256, the store's key shape,
+		// and body is never empty, so Put cannot fail here.
+		_, _ = w.done.Put(fp, body, 0)
 	}
+	delete(w.running, fp)
 	w.mu.Unlock()
 	close(rn.done)
 }

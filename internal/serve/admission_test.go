@@ -143,7 +143,7 @@ func submitJob(t *testing.T, base, client, campaign string) (*http.Response, []b
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if client != "" {
-		req.Header.Set(ClientHeader, client)
+		req.Header.Set(servev1.ClientHeader, client)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestAdmissionDistinctFloodSheds(t *testing.T) {
 	if envelope.Error.RetryAfterSeconds != 3 {
 		t.Fatalf("shed retryAfterSeconds = %d, want 3", envelope.Error.RetryAfterSeconds)
 	}
-	shedID := resp.Header.Get(JobHeader)
+	shedID := resp.Header.Get(servev1.JobHeader)
 	if st := waitJobState(t, ts.URL, shedID); st.State != servev1.StateShed || st.RetryAfterSeconds != 3 {
 		t.Fatalf("shed job status: %+v", st)
 	}
@@ -324,9 +324,9 @@ func TestAdmissionDistinctFloodSheds(t *testing.T) {
 
 	// One cache hit via the synchronous path moves exactly one counter.
 	tuneResp, tuneBody := postTune(t, ts.URL, stallCampaign(1))
-	if tuneResp.StatusCode != http.StatusOK || tuneResp.Header.Get(CacheHeader) != "hit" {
+	if tuneResp.StatusCode != http.StatusOK || tuneResp.Header.Get(servev1.CacheHeader) != "hit" {
 		t.Fatalf("post-drain tune: status %d, %s = %q: %s",
-			tuneResp.StatusCode, CacheHeader, tuneResp.Header.Get(CacheHeader), tuneBody)
+			tuneResp.StatusCode, servev1.CacheHeader, tuneResp.Header.Get(servev1.CacheHeader), tuneBody)
 	}
 	exposition = scrapeMetrics(t, ts.URL)
 	if got := parseMetric(t, exposition, "roofserve_cache_hits_total"); got != 1 {
@@ -483,7 +483,7 @@ func TestAdmissionCacheTTLAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	key := resp.Header.Get(FingerprintHeader)
+	key := resp.Header.Get(servev1.FingerprintHeader)
 	ts1.Close()
 
 	// Age the persisted entry past the TTL.
@@ -505,8 +505,8 @@ func TestAdmissionCacheTTLAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(CacheHeader); got != "miss" {
-		t.Fatalf("%s = %q after TTL expiry, want miss", CacheHeader, got)
+	if got := resp.Header.Get(servev1.CacheHeader); got != "miss" {
+		t.Fatalf("%s = %q after TTL expiry, want miss", servev1.CacheHeader, got)
 	}
 	if got := kernelExecutions.Load() - before; got == 0 {
 		t.Fatal("expired entry served without re-measuring")
@@ -516,8 +516,8 @@ func TestAdmissionCacheTTLAcrossRestart(t *testing.T) {
 	// cached fresh.
 	before = kernelExecutions.Load()
 	resp, _ = postTune(t, ts2.URL, campaign)
-	if got := resp.Header.Get(CacheHeader); got != "hit" {
-		t.Fatalf("%s = %q after refresh, want hit", CacheHeader, got)
+	if got := resp.Header.Get(servev1.CacheHeader); got != "hit" {
+		t.Fatalf("%s = %q after refresh, want hit", servev1.CacheHeader, got)
 	}
 	if got := kernelExecutions.Load() - before; got != 0 {
 		t.Fatalf("refreshed hit executed %d kernels, want 0", got)

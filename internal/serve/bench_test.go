@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	servev1 "rooftune/serve/v1"
 	"strings"
 	"testing"
 )
@@ -45,8 +46,8 @@ func BenchmarkServeCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		resp.Body.Close()
-		if got := resp.Header.Get(CacheHeader); got != "hit" {
-			b.Fatalf("iteration %d: %s = %q, want hit", i, CacheHeader, got)
+		if got := resp.Header.Get(servev1.CacheHeader); got != "hit" {
+			b.Fatalf("iteration %d: %s = %q, want hit", i, servev1.CacheHeader, got)
 		}
 	}
 }

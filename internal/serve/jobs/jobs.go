@@ -164,13 +164,18 @@ func (j *Job) terminal(state State, errMsg string, result []byte, cached bool) {
 	j.errMsg = errMsg
 	j.result = result
 	j.cached = cached
-	close(j.done)
-	j.broadcast()
 	hook := j.onTerminal
 	j.mu.Unlock()
+	// The hook (the registry leaving its active index) runs before any
+	// waiter wakes, so a client that saw the job finish never finds it
+	// still counted as active.
 	if hook != nil {
 		hook(j)
 	}
+	j.mu.Lock()
+	close(j.done)
+	j.broadcast()
+	j.mu.Unlock()
 }
 
 // broadcast wakes every blocked cursor. Callers hold j.mu.

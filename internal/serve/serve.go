@@ -1,3 +1,35 @@
+// Package serve is the rooftune daemon: a long-lived HTTP service that
+// accepts JSON campaign specs, resolves them through the same Session
+// machinery the library exposes, and memoizes every completed Result in
+// a content-addressed cache keyed by the session fingerprint.
+//
+// The contract that makes the cache sound is determinism: served
+// campaigns target simulated systems only, and every sweep evaluates its
+// cases serially, so a campaign's Result is a pure function of its
+// fingerprint and a cache hit is byte-for-byte the response a fresh run
+// would have produced — with zero kernel executions. Native targets are
+// rejected: wall-clock measurements are not content-addressable (the
+// same campaign legitimately yields different numbers run to run).
+//
+// Concurrent identical submissions collapse onto one run (singleflight
+// via the jobs registry), concurrent distinct campaigns divide the host
+// under a shared parallelism budget instead of each assuming the whole
+// machine, and an admission controller bounds how many runs execute and
+// wait at once — excess load is shed deterministically with 429 +
+// Retry-After rather than queued without bound.
+//
+// With workers configured (Config.Workers), the daemon additionally
+// runs as the distributed tier's coordinator: cache and admission stay
+// in front, but each admitted campaign's plan-graph nodes fan out to
+// roofworkerd processes over the rooftune/dist/v1 contract, with
+// lease-based requeue from dead or slow workers and graceful local
+// fallback — see internal/dist.
+//
+// The wire contract itself (Campaign, JobStatus, the headers, the error
+// envelope) lives in the versioned rooftune/serve/v1 package, and
+// resolving a wire campaign into session options lives in
+// internal/serve/campaign (shared with the distributed workers); this
+// package owns the daemon behaviour.
 package serve
 
 import (
@@ -15,26 +47,10 @@ import (
 	"rooftune/internal/serve/admit"
 	"rooftune/internal/serve/budget"
 	"rooftune/internal/serve/cache"
+	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/jobs"
 	"rooftune/internal/serve/metrics"
 	servev1 "rooftune/serve/v1"
-)
-
-// The daemon's wire headers, defined in the versioned contract package;
-// aliased here for the serving tier's historical import paths.
-const (
-	// CacheHeader reports whether a response was served from the
-	// content-addressed cache ("hit") or freshly measured ("miss").
-	CacheHeader = servev1.CacheHeader
-	// FingerprintHeader carries the campaign's content address on every
-	// tuning response, so clients can correlate, pre-warm, or debug cache
-	// behaviour.
-	FingerprintHeader = servev1.FingerprintHeader
-	// JobHeader names the job that produced (or is producing) a response.
-	JobHeader = servev1.JobHeader
-	// ClientHeader identifies the submitting client for per-client fair
-	// queuing.
-	ClientHeader = servev1.ClientHeader
 )
 
 // Config configures a Server.
@@ -61,8 +77,8 @@ type Config struct {
 	// MaxJobs set: no queue — every excess request is shed).
 	QueueDepth int
 	// PerClientQueue bounds the queue share of any one client (keyed by
-	// ClientHeader, falling back to the remote address), so one flood
-	// cannot fill the whole queue (<=0: only QueueDepth bounds it).
+	// servev1.ClientHeader, falling back to the remote address), so one
+	// flood cannot fill the whole queue (<=0: only QueueDepth bounds it).
 	PerClientQueue int
 	// RetryAfter is the hint carried on every shed response (<=0: 1s).
 	// It is fixed configuration, not an estimate, so tests and clients
@@ -224,11 +240,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// clientID keys per-client fair queuing: the ClientHeader when the
-// client identifies itself, else the connection's remote host, else a
-// shared anonymous bucket.
+// clientID keys per-client fair queuing: the servev1.ClientHeader when
+// the client identifies itself, else the connection's remote host, else
+// a shared anonymous bucket.
 func clientID(r *http.Request) string {
-	if id := r.Header.Get(ClientHeader); id != "" {
+	if id := r.Header.Get(servev1.ClientHeader); id != "" {
 		return id
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil && host != "" {
@@ -245,13 +261,14 @@ func clientID(r *http.Request) string {
 // fingerprint; each run builds its own (a Session executes one Run at a
 // time, and the run's session carries the job's progress hook and
 // budget lease). The parsed wire campaign rides along because in
-// coordinator mode it crosses to the workers verbatim.
-func (s *Server) resolve(r *http.Request) (key string, camp Campaign, opts []rooftune.Option, err error) {
-	camp, err = ParseCampaign(r.Body)
+// coordinator mode it crosses to the workers verbatim, addressed by
+// this same key.
+func (s *Server) resolve(r *http.Request) (key string, camp servev1.Campaign, opts []rooftune.Option, err error) {
+	camp, err = campaign.Parse(r.Body)
 	if err != nil {
 		return "", camp, nil, err
 	}
-	opts, err = CampaignOptions(camp)
+	opts, err = campaign.Options(camp)
 	if err != nil {
 		return "", camp, nil, err
 	}
@@ -272,7 +289,7 @@ func (s *Server) resolve(r *http.Request) (key string, camp Campaign, opts []roo
 // — including a shed (an identical flood costs one admission slot, not
 // N). A shed job is terminal immediately, so every joiner observes the
 // refusal and a later resubmission gets a fresh admission attempt.
-func (s *Server) launch(key, client string, camp Campaign, opts []rooftune.Option) *jobs.Job {
+func (s *Server) launch(key, client string, camp servev1.Campaign, opts []rooftune.Option) *jobs.Job {
 	job, created := s.reg.GetOrCreate(key)
 	if !created {
 		return job
@@ -299,8 +316,9 @@ func (s *Server) launch(key, client string, camp Campaign, opts []rooftune.Optio
 // run executes one job: wait out the admission queue, move the job to
 // running, acquire a host-budget lease, build the job's session
 // (progress wired to the job's event history, host parallelism capped
-// to the lease's share), run it, serialize, cache, finish.
-func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.Job, ticket *admit.Ticket, camp Campaign, opts []rooftune.Option) {
+// to the lease's share), run it locally or through the fleet, serialize,
+// cache, finish.
+func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.Job, ticket *admit.Ticket, camp servev1.Campaign, opts []rooftune.Option) {
 	defer cancel()
 	if err := ticket.Wait(ctx); err != nil {
 		job.Fail(fmt.Errorf("serve: job %s: cancelled while queued: %w", job.ID, err))
@@ -310,27 +328,24 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.J
 	job.Start(cancel)
 	lease := s.budget.Acquire()
 	defer lease.Release()
-	opts = append(opts,
+	started := time.Now()
+	sess, err := rooftune.New(append(opts,
 		rooftune.WithHostParallelism(lease.Share()),
 		rooftune.WithProgress(job.Emit),
-	)
-	started := time.Now()
+	)...)
+	if err != nil {
+		job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
+		return
+	}
 	var res *rooftune.Result
-	var err error
 	if s.dist != nil {
 		// Coordinator mode: the campaign's plan-graph nodes fan out to
 		// the worker fleet. Neither the lease share nor the progress
-		// hook enters the fingerprint, so the coordinator addresses the
-		// same content the cache key names; nodes that cannot be placed
-		// remotely run locally inside the same schedule.
-		res, err = s.dist.Run(ctx, camp, opts)
+		// hook enters the fingerprint, so job.Key addresses the same
+		// content on the workers as in the cache; nodes that cannot be
+		// placed remotely run locally inside the same schedule.
+		res, err = sess.RunDist(ctx, s.dist.Exec(camp, job.Key))
 	} else {
-		var sess *rooftune.Session
-		sess, err = rooftune.New(opts...)
-		if err != nil {
-			job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
-			return
-		}
 		res, err = sess.Run(ctx)
 	}
 	if err != nil {
@@ -364,13 +379,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
 	}
-	w.Header().Set(FingerprintHeader, key)
+	w.Header().Set(servev1.FingerprintHeader, key)
 	if data, ok := s.cache.Get(key); ok {
 		writeResult(w, data, true)
 		return
 	}
 	job := s.launch(key, clientID(r), camp, opts)
-	w.Header().Set(JobHeader, job.ID)
+	w.Header().Set(servev1.JobHeader, job.ID)
 	job.AddWatcher()
 	defer job.RemoveWatcher()
 	if err := job.Wait(r.Context()); err != nil {
@@ -417,7 +432,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
 	}
-	w.Header().Set(FingerprintHeader, key)
+	w.Header().Set(servev1.FingerprintHeader, key)
 	if data, ok := s.cache.Get(key); ok {
 		job, created := s.reg.GetOrCreate(key)
 		job.Pin()
@@ -425,13 +440,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			job.Start(func() {})
 			job.Finish(data, true)
 		}
-		w.Header().Set(JobHeader, job.ID)
+		w.Header().Set(servev1.JobHeader, job.ID)
 		writeJSON(w, http.StatusOK, statusOf(job.Snapshot()))
 		return
 	}
 	job := s.launch(key, clientID(r), camp, opts)
 	job.Pin()
-	w.Header().Set(JobHeader, job.ID)
+	w.Header().Set(servev1.JobHeader, job.ID)
 	snap := job.Snapshot()
 	if snap.State == jobs.StateShed {
 		writeError(w, http.StatusTooManyRequests, servev1.CodeOverloaded,
@@ -441,10 +456,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, statusOf(snap))
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+// job looks up the request's {id} job, answering 404 when it is unknown.
+func (s *Server) job(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	job, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, servev1.CodeNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")), 0)
+	}
+	return job, ok
+}
+
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.job(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, statusOf(job.Snapshot()))
@@ -456,9 +479,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // event carries the terminal state. The stream counts as a watcher:
 // disconnecting the last watcher of an unpinned job cancels it.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.Get(r.PathValue("id"))
+	job, ok := s.job(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, servev1.CodeNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")), 0)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -472,8 +494,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
-	h.Set(JobHeader, job.ID)
-	h.Set(FingerprintHeader, job.Key)
+	h.Set(servev1.JobHeader, job.ID)
+	h.Set(servev1.FingerprintHeader, job.Key)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
@@ -506,9 +528,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.Get(r.PathValue("id"))
+	job, ok := s.job(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, servev1.CodeNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")), 0)
 		return
 	}
 	job.Cancel()
@@ -548,7 +569,7 @@ func writeResult(w http.ResponseWriter, data []byte, cached bool) {
 	if cached {
 		disposition = "hit"
 	}
-	w.Header().Set(CacheHeader, disposition)
+	w.Header().Set(servev1.CacheHeader, disposition)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)

@@ -17,9 +17,11 @@ import (
 
 	"rooftune"
 	"rooftune/internal/bench"
+	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/jobs"
 	"rooftune/internal/sweep"
 	"rooftune/internal/vclock"
+	servev1 "rooftune/serve/v1"
 )
 
 // kernelExecutions counts every simulated kernel execution the counting
@@ -136,19 +138,19 @@ func TestTuneBitIdenticalToInProcess(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(CacheHeader); got != "miss" {
-		t.Fatalf("first request %s = %q, want miss", CacheHeader, got)
+	if got := resp.Header.Get(servev1.CacheHeader); got != "miss" {
+		t.Fatalf("first request %s = %q, want miss", servev1.CacheHeader, got)
 	}
 	var served rooftune.Result
 	if err := json.Unmarshal(body, &served); err != nil {
 		t.Fatal(err)
 	}
 
-	campaign, err := ParseCampaign(strings.NewReader(tinyCampaign))
+	camp, err := campaign.Parse(strings.NewReader(tinyCampaign))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := CampaignOptions(campaign)
+	opts, err := campaign.Options(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +185,8 @@ func TestCacheHitZeroKernelExecutions(t *testing.T) {
 	if ran == 0 {
 		t.Fatal("first request executed no kernels — the counter is not wired")
 	}
-	if got := resp1.Header.Get(CacheHeader); got != "miss" {
-		t.Fatalf("first request %s = %q, want miss", CacheHeader, got)
+	if got := resp1.Header.Get(servev1.CacheHeader); got != "miss" {
+		t.Fatalf("first request %s = %q, want miss", servev1.CacheHeader, got)
 	}
 
 	before = kernelExecutions.Load()
@@ -195,16 +197,16 @@ func TestCacheHitZeroKernelExecutions(t *testing.T) {
 	if got := kernelExecutions.Load() - before; got != 0 {
 		t.Fatalf("cache hit executed %d kernels, want 0", got)
 	}
-	if got := resp2.Header.Get(CacheHeader); got != "hit" {
-		t.Fatalf("second request %s = %q, want hit", CacheHeader, got)
+	if got := resp2.Header.Get(servev1.CacheHeader); got != "hit" {
+		t.Fatalf("second request %s = %q, want hit", servev1.CacheHeader, got)
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cached response not byte-identical:\nfirst  %s\nsecond %s", body1, body2)
 	}
-	if resp1.Header.Get(FingerprintHeader) == "" ||
-		resp1.Header.Get(FingerprintHeader) != resp2.Header.Get(FingerprintHeader) {
+	if resp1.Header.Get(servev1.FingerprintHeader) == "" ||
+		resp1.Header.Get(servev1.FingerprintHeader) != resp2.Header.Get(servev1.FingerprintHeader) {
 		t.Fatalf("fingerprint headers diverge: %q vs %q",
-			resp1.Header.Get(FingerprintHeader), resp2.Header.Get(FingerprintHeader))
+			resp1.Header.Get(servev1.FingerprintHeader), resp2.Header.Get(servev1.FingerprintHeader))
 	}
 }
 
@@ -321,14 +323,14 @@ func collectSSE(t *testing.T, url string) ([]rooftune.Event, string) {
 // the same campaign. Serial pins the event order; the values are
 // deterministic on the simulated engines either way.
 func TestSSEMatchesWithProgress(t *testing.T) {
-	campaign := `{"system": "Gold 6148", "workloads": ["counting"], "serial": true, "seed": 11}`
+	src := `{"system": "Gold 6148", "workloads": ["counting"], "serial": true, "seed": 11}`
 
 	// In-process reference: same campaign, progress collected directly.
-	parsed, err := ParseCampaign(strings.NewReader(campaign))
+	parsed, err := campaign.Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := CampaignOptions(parsed)
+	opts, err := campaign.Options(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func TestSSEMatchesWithProgress(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(campaign))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,8 +541,8 @@ func TestCachePersistsAcrossServers(t *testing.T) {
 	defer ts2.Close()
 	before := kernelExecutions.Load()
 	resp, body2 := postTune(t, ts2.URL, campaign)
-	if got := resp.Header.Get(CacheHeader); got != "hit" {
-		t.Fatalf("restarted daemon %s = %q, want hit", CacheHeader, got)
+	if got := resp.Header.Get(servev1.CacheHeader); got != "hit" {
+		t.Fatalf("restarted daemon %s = %q, want hit", servev1.CacheHeader, got)
 	}
 	if got := kernelExecutions.Load() - before; got != 0 {
 		t.Fatalf("restarted daemon executed %d kernels, want 0", got)

@@ -114,10 +114,10 @@ type Hooks struct {
 	SweepSeeded func(id, from string, value float64)
 }
 
-// Runner executes sweeps with a shared budget and traversal order.
+// Runner executes sweeps with a shared budget; every sweep traverses
+// its cases in plan order (core.OrderForward).
 type Runner struct {
 	Budget bench.Budget
-	Order  core.Order
 	// Host is the runner's only parallelism knob: how many sweeps may
 	// run at once (default GOMAXPROCS). 1 runs one sweep at a time and
 	// fails fast; native sessions set it, because concurrent wall-clock
@@ -244,7 +244,7 @@ func (r *Runner) runOne(ctx context.Context, s Spec, sd seed) (Outcome, error) {
 	if r.Hooks.SweepStarted != nil {
 		r.Hooks.SweepStarted(s.Name, len(s.Cases))
 	}
-	tuner := core.NewTuner(s.Clock, r.Budget, r.Order)
+	tuner := core.NewTuner(s.Clock, r.Budget, core.OrderForward)
 	tuner.Incumbent = sd.value
 	tuner.Shared = sd.shared
 	if r.Hooks.CaseEvaluated != nil {

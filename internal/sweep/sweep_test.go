@@ -56,7 +56,7 @@ func testRunner(serial bool) *Runner {
 	b := bench.DefaultBudget().WithFlags(true, true, true)
 	b.Invocations = 2
 	b.MaxIterations = 20
-	r := &Runner{Budget: b, Order: core.OrderForward}
+	r := &Runner{Budget: b}
 	if serial {
 		r.Host = 1
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rooftune/internal/bench"
-	"rooftune/internal/core"
 	"rooftune/internal/hw"
 	"rooftune/internal/simspmv"
 	"rooftune/internal/sweep"
@@ -121,7 +120,6 @@ func TestTunedWinnerMatchesModelArgmax(t *testing.T) {
 		}
 		runner := &sweep.Runner{
 			Budget: bench.DefaultBudget().WithFlags(true, true, true),
-			Order:  core.OrderForward,
 		}
 		outs, err := runner.RunPlan(context.Background(), nodes)
 		if err != nil {

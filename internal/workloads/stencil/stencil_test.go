@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rooftune/internal/bench"
-	"rooftune/internal/core"
 	"rooftune/internal/hw"
 	"rooftune/internal/simstencil"
 	"rooftune/internal/sweep"
@@ -122,7 +121,6 @@ func TestTunedWinnerMatchesModelArgmax(t *testing.T) {
 		}
 		runner := &sweep.Runner{
 			Budget: bench.DefaultBudget().WithFlags(true, true, true),
-			Order:  core.OrderForward,
 		}
 		outs, err := runner.RunPlan(context.Background(), nodes)
 		if err != nil {

@@ -471,25 +471,37 @@ func (s *Session) plan(target workload.Target, res *Result, emit func(Event)) ([
 // and no sweep goroutine outlives the call. A Run that starts while
 // another Run of the same Session is still in flight fails immediately
 // with ErrConcurrentRun; sequential re-runs are always allowed and,
-// on simulated targets, bit-identical.
+// on simulated targets, bit-identical. Run is RunDist with no executor:
+// every node runs in-process.
 func (s *Session) Run(ctx context.Context) (*Result, error) {
+	return s.runPlan(ctx, nil)
+}
+
+// execute is the one execution path behind Run, RunDist and RunNode. It
+// enforces the one-Run-at-a-time guard, starts the progress drainer,
+// plans the target (stripping the graph's SeedFrom edges unless
+// chaining is on), builds the runner and hands it to fn. A failure of
+// fn is reported as the bare ctx.Err() when it is the cancellation,
+// otherwise with the package prefix. It returns the Result header and
+// the plan's points for assembly.
+func (s *Session) execute(ctx context.Context, fn func(context.Context, *sweep.Runner, []sweep.Node) error) (*Result, []Point, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !s.running.CompareAndSwap(false, true) {
-		return nil, ErrConcurrentRun
+		return nil, nil, ErrConcurrentRun
 	}
 	defer s.running.Store(false)
 	emit, stopEvents := s.startEvents()
-	// Every sweep goroutine is joined before runner.RunPlan returns, so by
-	// the time this defer closes the channel no sender remains; the join
-	// below it guarantees the last event is delivered before Run returns.
+	// Every sweep goroutine is joined before fn returns, so by the time
+	// this defer closes the channel no sender remains; the join inside
+	// stopEvents delivers the last event before the caller returns.
 	defer stopEvents()
 
 	target, res := s.target()
 	nodes, points, err := s.plan(target, res, emit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !s.cfg.chain {
 		// The graph was validated with its edges; without chaining every
@@ -498,32 +510,27 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			nodes[i].SeedFrom = ""
 		}
 	}
-
-	runner := s.newRunner(nodes, emit)
-
-	outs, err := runner.RunPlan(ctx, nodes)
-	if err != nil {
+	if err := fn(ctx, s.newRunner(nodes, emit), nodes); err != nil {
 		// Report a cancellation as the bare ctx.Err(); a genuine engine
 		// failure that merely raced with cancellation keeps its
 		// diagnostic (it still satisfies errors.Is(err, ctx.Err())
 		// when the failure IS the cancellation, since the sweep layer
 		// wraps with %w).
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil, cerr
+			return nil, nil, cerr
 		}
-		return nil, fmt.Errorf("rooftune: %w", err)
+		return nil, nil, fmt.Errorf("rooftune: %w", err)
 	}
-	return assembleResult(res, outs, points)
+	return res, points, nil
 }
 
 // newRunner builds the sweep runner every Run entry point (Run, RunDist,
-// RunNode) executes through: one place owns the budget, order, host
-// budget and hook wiring, so a distributed run's per-node execution is
+// RunNode) executes through: one place owns the budget, host budget
+// and hook wiring, so a distributed run's per-node execution is
 // the exact machinery a local run uses.
 func (s *Session) newRunner(nodes []sweep.Node, emit func(Event)) *sweep.Runner {
 	runner := &sweep.Runner{
 		Budget: *s.cfg.budget,
-		Order:  core.OrderForward,
 		Host:   s.cfg.hostPar,
 	}
 	if s.cfg.serial || s.cfg.native {
