@@ -30,24 +30,64 @@ import (
 // the wire contract: changing it invalidates every persisted cache
 // entry keyed on ConfigDigest.
 func ConfigCanonical(c Config) (string, error) {
+	b, err := AppendConfigCanonical(nil, c)
+	return string(b), err
+}
+
+// AppendConfigCanonical appends c's ConfigCanonical rendering to dst and
+// returns the extended buffer. Hot paths that render every planned case
+// (the session fingerprint) append into one reused buffer instead of
+// allocating a string per case. On error dst is returned unchanged.
+func AppendConfigCanonical(dst []byte, c Config) ([]byte, error) {
 	switch cfg := c.(type) {
 	case DGEMMConfig:
-		return fmt.Sprintf("DGEMMConfig{n=%d,m=%d,k=%d,sockets=%d,threads=%d}",
-			cfg.N, cfg.M, cfg.K, cfg.Sockets, cfg.Threads), nil
+		dst = append(dst, "DGEMMConfig{n="...)
+		dst = strconv.AppendInt(dst, int64(cfg.N), 10)
+		dst = append(dst, ",m="...)
+		dst = strconv.AppendInt(dst, int64(cfg.M), 10)
+		dst = append(dst, ",k="...)
+		dst = strconv.AppendInt(dst, int64(cfg.K), 10)
+		dst = appendPlacement(dst, cfg.Sockets, cfg.Threads)
 	case TriadConfig:
-		return fmt.Sprintf("TriadConfig{elements=%d,affinity=%s,sockets=%d,threads=%d}",
-			cfg.Elements, cfg.Affinity, cfg.Sockets, cfg.Threads), nil
+		dst = append(dst, "TriadConfig{elements="...)
+		dst = strconv.AppendInt(dst, int64(cfg.Elements), 10)
+		dst = append(dst, ",affinity="...)
+		dst = append(dst, cfg.Affinity.String()...)
+		dst = appendPlacement(dst, cfg.Sockets, cfg.Threads)
 	case SpMVConfig:
-		return fmt.Sprintf("SpMVConfig{n=%d,nnzPerRow=%d,chunkRows=%d,sockets=%d,threads=%d}",
-			cfg.N, cfg.NNZPerRow, cfg.ChunkRows, cfg.Sockets, cfg.Threads), nil
+		dst = append(dst, "SpMVConfig{n="...)
+		dst = strconv.AppendInt(dst, int64(cfg.N), 10)
+		dst = append(dst, ",nnzPerRow="...)
+		dst = strconv.AppendInt(dst, int64(cfg.NNZPerRow), 10)
+		dst = append(dst, ",chunkRows="...)
+		dst = strconv.AppendInt(dst, int64(cfg.ChunkRows), 10)
+		dst = appendPlacement(dst, cfg.Sockets, cfg.Threads)
 	case StencilConfig:
-		return fmt.Sprintf("StencilConfig{nx=%d,ny=%d,tileX=%d,tileY=%d,sockets=%d,threads=%d}",
-			cfg.NX, cfg.NY, cfg.TileX, cfg.TileY, cfg.Sockets, cfg.Threads), nil
+		dst = append(dst, "StencilConfig{nx="...)
+		dst = strconv.AppendInt(dst, int64(cfg.NX), 10)
+		dst = append(dst, ",ny="...)
+		dst = strconv.AppendInt(dst, int64(cfg.NY), 10)
+		dst = append(dst, ",tileX="...)
+		dst = strconv.AppendInt(dst, int64(cfg.TileX), 10)
+		dst = append(dst, ",tileY="...)
+		dst = strconv.AppendInt(dst, int64(cfg.TileY), 10)
+		dst = appendPlacement(dst, cfg.Sockets, cfg.Threads)
 	case nil:
-		return "", fmt.Errorf("bench: ConfigCanonical(nil)")
+		return dst, fmt.Errorf("bench: ConfigCanonical(nil)")
 	default:
-		return "", fmt.Errorf("bench: ConfigCanonical: unsupported config variant %T", c)
+		return dst, fmt.Errorf("bench: ConfigCanonical: unsupported config variant %T", c)
 	}
+	return dst, nil
+}
+
+// appendPlacement closes a canonical rendering with the placement fields
+// every variant ends on.
+func appendPlacement(dst []byte, sockets, threads int) []byte {
+	dst = append(dst, ",sockets="...)
+	dst = strconv.AppendInt(dst, int64(sockets), 10)
+	dst = append(dst, ",threads="...)
+	dst = strconv.AppendInt(dst, int64(threads), 10)
+	return append(dst, '}')
 }
 
 // ConfigDigest returns the canonical content digest of a configuration:

@@ -63,6 +63,45 @@ func TestConfigDigestStable(t *testing.T) {
 	}
 }
 
+// TestConfigCanonicalRendering pins the canonical text of every variant:
+// session fingerprints and config digests hash it, so a byte that moves
+// re-keys every stored cache entry. Negative and zero fields and both
+// affinities are covered because the renderer appends integers itself.
+func TestConfigCanonicalRendering(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{wireConfigs["DGEMMConfig"], "DGEMMConfig{n=1000,m=4096,k=128,sockets=2,threads=8}"},
+		{wireConfigs["TriadConfig"], "TriadConfig{elements=1048576,affinity=spread,sockets=2,threads=4}"},
+		{wireConfigs["SpMVConfig"], "SpMVConfig{n=262144,nnzPerRow=16,chunkRows=512,sockets=1,threads=6}"},
+		{wireConfigs["StencilConfig"], "StencilConfig{nx=2048,ny=1024,tileX=256,tileY=8,sockets=1,threads=3}"},
+		{DGEMMConfig{N: -1, M: 0, K: -9223372036854775808}, "DGEMMConfig{n=-1,m=0,k=-9223372036854775808,sockets=0,threads=0}"},
+		{TriadConfig{Elements: 7, Affinity: hw.AffinityClose, Sockets: 1}, "TriadConfig{elements=7,affinity=close,sockets=1,threads=0}"},
+	}
+	for _, c := range cases {
+		got, err := ConfigCanonical(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("ConfigCanonical(%#v) = %q, want %q", c.cfg, got, c.want)
+		}
+		// Appending extends the caller's buffer in place.
+		buf, err := AppendConfigCanonical([]byte("case="), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != "case="+c.want {
+			t.Errorf("AppendConfigCanonical(prefix, %#v) = %q", c.cfg, buf)
+		}
+	}
+	buf, err := AppendConfigCanonical([]byte("keep"), nil)
+	if err == nil || string(buf) != "keep" {
+		t.Fatalf("AppendConfigCanonical(nil) = %q, %v; want the buffer unchanged and an error", buf, err)
+	}
+}
+
 // TestConfigDigestDistinguishes checks the content-address property on
 // the mutations that matter: a changed field value and a different
 // variant with coincidentally similar fields must digest differently.

@@ -341,6 +341,27 @@ func TestBoundPushUnknownFingerprint(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRejected: a node spec over maxBodyBytes is refused as
+// a bad request instead of being read to the end. Uncapped, the padded
+// spec would parse and fail later as a bad node.
+func TestOversizedSpecRejected(t *testing.T) {
+	w := startWorker(t, "w", nil)
+	spec := strings.Repeat(" ", 2<<20) + `{"schema":"` + distv1.Schema + `","campaign":` + chainedCampaign + `,"nodeId":"triad/L2","fingerprint":"bogus"}`
+	resp, err := http.Post(w.ts.URL+distv1.PathRun, "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env distv1.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != distv1.CodeBadRequest {
+		t.Fatalf("2 MiB spec got status %d code %q (%s), want 400 %q",
+			resp.StatusCode, env.Error.Code, env.Error.Message, distv1.CodeBadRequest)
+	}
+}
+
 // TestFingerprintMismatchRejected: a spec whose fingerprint does not
 // match what the worker resolves is refused — running it would poison
 // the sweep with a wrong-but-plausible outcome.

@@ -134,6 +134,11 @@ func (w *Worker) runningCount() int {
 	return len(w.running)
 }
 
+// maxBodyBytes caps a request body on the worker's POST routes. A node
+// spec carries one campaign of a few hundred bytes; the cap keeps a
+// client from making the worker buffer an unbounded body.
+const maxBodyBytes = 1 << 20
+
 // writeError renders the dist/v1 error envelope.
 func writeError(rw http.ResponseWriter, status int, code distv1.ErrorCode, format string, args ...any) {
 	rw.Header().Set("Content-Type", "application/json")
@@ -168,7 +173,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, distv1.CodeBadRequest, "POST only")
 		return
 	}
-	spec, err := distv1.ParseNodeSpec(r.Body)
+	spec, err := distv1.ParseNodeSpec(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, distv1.CodeBadRequest, "%v", err)
 		return
@@ -286,7 +291,7 @@ func (w *Worker) handleBound(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, distv1.CodeBadRequest, "POST only")
 		return
 	}
-	upd, err := distv1.ParseBoundUpdate(r.Body)
+	upd, err := distv1.ParseBoundUpdate(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, distv1.CodeBadRequest, "%v", err)
 		return

@@ -256,15 +256,22 @@ func clientID(r *http.Request) string {
 	return "anonymous"
 }
 
-// resolve parses a campaign and computes its fingerprint — the cache
-// key and singleflight identity. The throwaway session exists only to
-// fingerprint; each run builds its own (a Session executes one Run at a
+// maxCampaignBytes caps a campaign request body. A real campaign is a
+// few hundred bytes; the cap keeps a client from making the daemon
+// buffer an unbounded body before the parser can reject it.
+const maxCampaignBytes = 1 << 20
+
+// resolve parses a campaign (at most maxCampaignBytes of body) and
+// computes its fingerprint — the cache key and singleflight identity.
+// The throwaway session exists only to fingerprint, which renders the
+// plan its New already built, so a cache hit plans the campaign once;
+// each run builds its own session (a Session executes one Run at a
 // time, and the run's session carries the job's progress hook and
 // budget lease). The parsed wire campaign rides along because in
 // coordinator mode it crosses to the workers verbatim, addressed by
 // this same key.
-func (s *Server) resolve(r *http.Request) (key string, camp servev1.Campaign, opts []rooftune.Option, err error) {
-	camp, err = campaign.Parse(r.Body)
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (key string, camp servev1.Campaign, opts []rooftune.Option, err error) {
+	camp, err = campaign.Parse(http.MaxBytesReader(w, r.Body, maxCampaignBytes))
 	if err != nil {
 		return "", camp, nil, err
 	}
@@ -374,7 +381,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.J
 // that disconnects while waiting releases its watch; if it was the last
 // watcher, the run is cancelled.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(r)
+	key, camp, opts, err := s.resolve(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
@@ -427,7 +434,7 @@ func statusOf(snap jobs.Snapshot) servev1.JobStatus {
 // its handle. A cache hit mints an already-done job so clients have one
 // uniform flow; a shed admission answers 429 like the synchronous path.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(r)
+	key, camp, opts, err := s.resolve(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return

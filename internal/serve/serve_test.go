@@ -477,6 +477,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a campaign body over maxCampaignBytes is
+// refused as a bad campaign on both POST routes instead of being read
+// to the end. The body is a valid campaign padded with whitespace, so
+// only the cap can reject it.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := strings.Repeat(" ", 2<<20) + tinyCampaign
+	for _, path := range []string{"/v1/tune", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env servev1.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding the error envelope: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != servev1.CodeBadCampaign {
+			t.Errorf("%s: 2 MiB body got status %d code %q (%s), want 400 %q",
+				path, resp.StatusCode, env.Error.Code, env.Error.Message, servev1.CodeBadCampaign)
+		}
+	}
+}
+
 func TestHealthAndStats(t *testing.T) {
 	srv, ts := newTestServer(t)
 	r, err := http.Get(ts.URL + "/v1/healthz")

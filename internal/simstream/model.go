@@ -126,11 +126,16 @@ func (m *Model) solveHitC(sockets int, p Params) float64 {
 	return h * wStar / l3
 }
 
+// canonicalGrid is units.CanonicalTriadGrid, computed once: every model
+// solves its hit constants against it, and a session plans a dozen or
+// more models. It is read-only.
+var canonicalGrid = units.CanonicalTriadGrid()
+
 // firstDRAMGridPoint returns the smallest canonical sweep working-set size
 // that counts as DRAM-resident for this socket count.
 func (m *Model) firstDRAMGridPoint(sockets int) float64 {
 	l3 := float64(m.Sys.L3Total(sockets))
-	for _, w := range units.CanonicalTriadGrid() {
+	for _, w := range canonicalGrid {
 		if float64(w) >= DRAMRegionFactor*l3 {
 			return float64(w)
 		}

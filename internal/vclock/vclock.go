@@ -27,7 +27,17 @@ type Clock interface {
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Duration
+	// _ pads the clock to virtualSize bytes. Every sweep owns a clock and
+	// advances it on each kernel step; unpadded, the clocks of sweeps
+	// running concurrently on different cores can share one cache line,
+	// and every Advance then invalidates the neighbour's line.
+	_ [virtualSize - 16]byte
 }
+
+// virtualSize is two 64-byte cache lines: adjacent-line prefetchers
+// fetch lines in pairs, so one line per clock is not enough. Go's
+// 128-byte size class keeps each heap-allocated clock 128-byte aligned.
+const virtualSize = 128
 
 // NewVirtual returns a virtual clock at time zero.
 func NewVirtual() *Virtual { return &Virtual{} }

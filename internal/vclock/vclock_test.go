@@ -2,8 +2,10 @@ package vclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestVirtualAdvance(t *testing.T) {
@@ -84,4 +86,26 @@ func TestQuantizeMicro(t *testing.T) {
 	if got := QuantizeMicro(999 * time.Nanosecond); got != 0 {
 		t.Fatalf("sub-microsecond must truncate to 0, got %v", got)
 	}
+}
+
+// TestVirtualSize pins the padding: a clock that shrinks below two cache
+// lines lets concurrently advanced clocks false-share again.
+func TestVirtualSize(t *testing.T) {
+	if got := unsafe.Sizeof(Virtual{}); got != virtualSize {
+		t.Fatalf("sizeof(Virtual) = %d, want %d", got, virtualSize)
+	}
+}
+
+// BenchmarkVirtualAdvanceAdjacent advances two clocks allocated back to
+// back from parallel goroutines, as concurrent sweeps do: with the clocks
+// sharing a cache line, every Advance stalls on the other core's writes.
+func BenchmarkVirtualAdvanceAdjacent(b *testing.B) {
+	clocks := [2]*Virtual{NewVirtual(), NewVirtual()}
+	var next atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		c := clocks[next.Add(1)%2]
+		for pb.Next() {
+			c.Advance(time.Nanosecond)
+		}
+	})
 }

@@ -287,8 +287,10 @@ func WithWorkloads(names ...string) Option {
 // Session is a configured roofline build: a target (simulated system or
 // the native host), a set of workloads, and the tuning parameters their
 // sweeps run under. Sessions are created by New and executed by Run; a
-// Session may be Run any number of times sequentially — every run plans
-// fresh engines, so simulated runs with equal seeds are bit-identical
+// Session may be Run any number of times sequentially. Every run executes
+// freshly planned, never-run engines: on a simulated target the first run
+// executes the plan New built to validate the session, and later runs
+// plan again, so simulated runs with equal seeds are bit-identical
 // (TestSessionRerunDeterministic). A Session executes at most one Run at
 // a time: a second Run starting while another is in flight fails loudly
 // with ErrConcurrentRun rather than silently double-running (on a native
@@ -300,6 +302,24 @@ type Session struct {
 	workloads []Workload
 	// running guards the one-Run-at-a-time contract; see ErrConcurrentRun.
 	running atomic.Bool
+
+	// mu guards the plan handoff and the fingerprint memo. pending is
+	// New's validation plan on a simulated target, waiting for the first
+	// run to execute it; Fingerprint renders from it while it waits.
+	// fingerprint memoizes Fingerprint on simulated targets ("" until
+	// computed).
+	mu          sync.Mutex
+	pending     *plannedRun
+	fingerprint string
+}
+
+// plannedRun is one resolved plan: the validated graph nodes, the Result
+// point each node's winner becomes, and one EventRegionEmpty per region
+// that planned no cases (its Warning joins Result.Warnings).
+type plannedRun struct {
+	nodes  []sweep.Node
+	points []Point
+	empty  []Event
 }
 
 // ErrConcurrentRun is returned by Run when the Session is already
@@ -403,24 +423,28 @@ func New(opts ...Option) (*Session, error) {
 	// Validate the assembled plan graph now, while the caller can still
 	// react: a custom workload with duplicate IDs, a dangling or cyclic
 	// SeedFrom edge, or a cross-metric edge fails here, not minutes into
-	// a run. Simulated planning is pure and cheap; native planning builds
-	// a real engine and synthesises kernel inputs, so native sessions
-	// defer the same check to the start of Run (still before any sweep
-	// executes).
+	// a run. Simulated planning is pure, so the validated plan is kept
+	// for Fingerprint and the first run rather than built again. Native
+	// planning builds a real engine and synthesises kernel inputs, so
+	// native sessions defer the same check to the start of Run (still
+	// before any sweep executes).
 	if !s.native {
-		if _, _, err := sess.plan(workload.Target{Sys: s.sys}, &Result{}, func(Event) {}); err != nil {
+		p, err := sess.plan(workload.Target{Sys: s.sys})
+		if err != nil {
 			return nil, err
 		}
+		sess.pending = p
 	}
 	return sess, nil
 }
 
 // plan resolves every workload's contribution for the target: it runs
-// each Plan, attributes and emits empty-region warnings, and validates
-// the assembled plan graph (unique IDs, resolvable acyclic SeedFrom
-// edges, same-metric chains) before anything executes. It is shared by
-// New (construction-time validation on simulated targets) and Run.
-func (s *Session) plan(target workload.Target, res *Result, emit func(Event)) ([]sweep.Node, []Point, error) {
+// each Plan, attributes empty-region warnings to their workload, and
+// validates the assembled plan graph (unique IDs, resolvable acyclic
+// SeedFrom edges, same-metric chains) before anything executes. It is
+// shared by New (construction-time validation on simulated targets),
+// Fingerprint and Run.
+func (s *Session) plan(target workload.Target) (*plannedRun, error) {
 	params := workload.Params{
 		Seed:          s.cfg.seed,
 		Space:         s.cfg.space,
@@ -434,35 +458,49 @@ func (s *Session) plan(target workload.Target, res *Result, emit func(Event)) ([
 		StencilNX:     s.cfg.stencilNX,
 		StencilNY:     s.cfg.stencilNY,
 	}
-	var (
-		nodes  []sweep.Node
-		points []Point
-	)
+	p := &plannedRun{}
 	for _, w := range s.workloads {
 		plan, err := w.Plan(target, params)
 		if err != nil {
-			return nil, nil, fmt.Errorf("rooftune: workload %s: %w", w.Name(), err)
+			return nil, fmt.Errorf("rooftune: workload %s: %w", w.Name(), err)
 		}
 		for _, warning := range plan.Warnings {
 			// Attribute the line to the workload that planned the region:
 			// a bare region name is ambiguous once several workloads plan
 			// sweeps into one session.
 			attributed := fmt.Sprintf("workload %s: %s", w.Name(), warning)
-			res.Warnings = append(res.Warnings, attributed)
-			emit(Event{Kind: EventRegionEmpty, Workload: w.Name(), Warning: attributed})
+			p.empty = append(p.empty, Event{Kind: EventRegionEmpty, Workload: w.Name(), Warning: attributed})
 		}
 		for _, pl := range plan.Sweeps {
-			nodes = append(nodes, sweep.Node{ID: pl.ID, SeedFrom: pl.SeedFrom, Spec: pl.Spec})
-			points = append(points, pl.Point)
+			p.nodes = append(p.nodes, sweep.Node{ID: pl.ID, SeedFrom: pl.SeedFrom, Spec: pl.Spec})
+			p.points = append(p.points, pl.Point)
 		}
 	}
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("rooftune: every planned sweep is empty: %v", res.Warnings)
+	if len(p.nodes) == 0 {
+		warnings := make([]string, len(p.empty))
+		for i, ev := range p.empty {
+			warnings[i] = ev.Warning
+		}
+		return nil, fmt.Errorf("rooftune: every planned sweep is empty: %v", warnings)
 	}
-	if err := sweep.ValidatePlan(nodes); err != nil {
-		return nil, nil, fmt.Errorf("rooftune: invalid plan graph: %w", err)
+	if err := sweep.ValidatePlan(p.nodes); err != nil {
+		return nil, fmt.Errorf("rooftune: invalid plan graph: %w", err)
 	}
-	return nodes, points, nil
+	return p, nil
+}
+
+// takePlan returns the plan a run executes: New's validation plan if no
+// run has consumed it yet, otherwise a fresh one. Engines are stateful,
+// so a plan is executed at most once.
+func (s *Session) takePlan(target workload.Target) (*plannedRun, error) {
+	s.mu.Lock()
+	p := s.pending
+	s.pending = nil
+	s.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	return s.plan(target)
 }
 
 // Run plans every workload's sweeps, executes the plan graph, and
@@ -479,8 +517,9 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 
 // execute is the one execution path behind Run, RunDist and RunNode. It
 // enforces the one-Run-at-a-time guard, starts the progress drainer,
-// plans the target (stripping the graph's SeedFrom edges unless
-// chaining is on), builds the runner and hands it to fn. A failure of
+// takes the plan (takePlan), reports its empty regions as warnings and
+// EventRegionEmpty events, strips the graph's SeedFrom edges unless
+// chaining is on, builds the runner and hands it to fn. A failure of
 // fn is reported as the bare ctx.Err() when it is the cancellation,
 // otherwise with the package prefix. It returns the Result header and
 // the plan's points for assembly.
@@ -499,10 +538,15 @@ func (s *Session) execute(ctx context.Context, fn func(context.Context, *sweep.R
 	defer stopEvents()
 
 	target, res := s.target()
-	nodes, points, err := s.plan(target, res, emit)
+	p, err := s.takePlan(target)
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, ev := range p.empty {
+		res.Warnings = append(res.Warnings, ev.Warning)
+		emit(ev)
+	}
+	nodes := p.nodes
 	if !s.cfg.chain {
 		// The graph was validated with its edges; without chaining every
 		// sweep runs unseeded, exactly as the flat execution model did.
@@ -521,7 +565,7 @@ func (s *Session) execute(ctx context.Context, fn func(context.Context, *sweep.R
 		}
 		return nil, nil, fmt.Errorf("rooftune: %w", err)
 	}
-	return res, points, nil
+	return res, p.points, nil
 }
 
 // newRunner builds the sweep runner every Run entry point (Run, RunDist,
