@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rooftune/internal/hw"
@@ -16,29 +17,51 @@ import (
 // SimEngine executes benchmark cases against the calibrated performance
 // models of a paper system, advancing a virtual clock. Identical seeds
 // replay identical experiments.
+//
+// Each kernel model is built on first use: a sweep's engine runs one
+// workload's cases, so it only ever needs one of the four.
 type SimEngine struct {
-	Sys     hw.System
-	Clock   *vclock.Virtual
-	DGEMM   *simblas.Model
-	Triad   *simstream.Model
-	SpMV    *simspmv.Model
-	Stencil *simstencil.Model
-	Seed    uint64
+	Sys   hw.System
+	Clock *vclock.Virtual
+	Seed  uint64
+
+	dgemmOnce, triadOnce, spmvOnce, stencilOnce sync.Once
+
+	dgemm   *simblas.Model
+	triad   *simstream.Model
+	spmv    *simspmv.Model
+	stencil *simstencil.Model
 }
 
 // NewSimEngine builds a simulated engine for the system with the given
 // noise seed. Engines with the same seed observe identical measurements
 // for identical (configuration, invocation, iteration) triples.
 func NewSimEngine(sys hw.System, seed uint64) *SimEngine {
-	return &SimEngine{
-		Sys:     sys,
-		Clock:   vclock.NewVirtual(),
-		DGEMM:   simblas.NewModel(sys),
-		Triad:   simstream.NewModel(sys),
-		SpMV:    simspmv.NewModel(sys),
-		Stencil: simstencil.NewModel(sys),
-		Seed:    seed,
-	}
+	return &SimEngine{Sys: sys, Clock: vclock.NewVirtual(), Seed: seed}
+}
+
+// DGEMM returns the engine's DGEMM model, building it on first use.
+func (e *SimEngine) DGEMM() *simblas.Model {
+	e.dgemmOnce.Do(func() { e.dgemm = simblas.NewModel(e.Sys) })
+	return e.dgemm
+}
+
+// Triad returns the engine's TRIAD model, building it on first use.
+func (e *SimEngine) Triad() *simstream.Model {
+	e.triadOnce.Do(func() { e.triad = simstream.NewModel(e.Sys) })
+	return e.triad
+}
+
+// SpMV returns the engine's SpMV model, building it on first use.
+func (e *SimEngine) SpMV() *simspmv.Model {
+	e.spmvOnce.Do(func() { e.spmv = simspmv.NewModel(e.Sys) })
+	return e.spmv
+}
+
+// Stencil returns the engine's stencil model, building it on first use.
+func (e *SimEngine) Stencil() *simstencil.Model {
+	e.stencilOnce.Do(func() { e.stencil = simstencil.NewModel(e.Sys) })
+	return e.stencil
 }
 
 // SimEngineName is the report name of a simulated engine for the system.
@@ -84,7 +107,7 @@ func (c *simDGEMMCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.m <= 0 || c.k <= 0 {
 		return nil, fmt.Errorf("bench: invalid DGEMM dims %s", c.Describe())
 	}
-	si := c.engine.DGEMM.NewInvocation(c.n, c.m, c.k, c.sockets, inv, c.engine.Seed)
+	si := c.engine.DGEMM().NewInvocation(c.n, c.m, c.k, c.sockets, inv, c.engine.Seed)
 	c.engine.Clock.Advance(si.SetupTime())
 	return &simDGEMMInstance{clock: c.engine.Clock, inv: si}, nil
 }
@@ -131,7 +154,7 @@ func (c *simTriadCase) NewInvocation(inv int) (Instance, error) {
 	if c.elems <= 0 {
 		return nil, fmt.Errorf("bench: invalid TRIAD length %d", c.elems)
 	}
-	si := c.engine.Triad.NewInvocation(c.elems, c.aff, c.sockets, inv, c.engine.Seed)
+	si := c.engine.Triad().NewInvocation(c.elems, c.aff, c.sockets, inv, c.engine.Seed)
 	c.engine.Clock.Advance(si.SetupTime())
 	return &simTriadInstance{clock: c.engine.Clock, inv: si}, nil
 }

@@ -85,12 +85,18 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 //
 // Cancelling ctx aborts the evaluation between kernel executions — after
 // at most one more Step — and returns ctx.Err(); the partial outcome is
-// discarded, never reported as a measurement.
+// discarded, never reported as a measurement. Cancellation is observed by
+// polling ctx.Done(), read once on entry, so the per-Step check takes no
+// lock: concurrently running sweeps share one context, and ctx.Err() on
+// a cancelable context locks its mutex. ctx.Err() is only called once
+// the channel has fired.
 //
 //rooflint:hotpath
 func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outcome, error) {
 	best := inc.Bound()
 	b := e.Budget.normalized()
+	ci := newIntervals(b)
+	done := ctx.Done()
 	out := &Outcome{Key: c.Key(), Config: c.Config(), Describe: c.Describe(), Metric: c.Metric()}
 	out.Invocations = make([]InvocationResult, 0, b.Invocations)
 	watch := vclock.NewStopwatch(e.Clock)
@@ -100,24 +106,24 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 		configMeasured time.Duration
 	)
 	for inv := 0; inv < b.Invocations; inv++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if fired(done) {
+			return nil, ctx.Err()
 		}
 		if b.Scope == ScopePerConfig && configMeasured >= b.MaxTime {
 			break // stop condition 1 at configuration scope
 		}
 		inst, err := c.NewInvocation(inv)
 		if err != nil {
-			return nil, fmt.Errorf("bench: invocation %d of %s: %w", inv, c.Key(), err)
+			return nil, fmt.Errorf("bench: invocation %d of %s: %w", inv, out.Key, err)
 		}
 		timeLeft := b.MaxTime
 		if b.Scope == ScopePerConfig {
 			timeLeft = b.MaxTime - configMeasured
 		}
-		res := e.runIteration(ctx, c.Key(), inv, inst, b, best, timeLeft)
+		res := e.runIteration(done, out.Key, inv, inst, b, ci, best, timeLeft)
 		inst.Close()
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if fired(done) {
+			return nil, ctx.Err()
 		}
 		out.Invocations = append(out.Invocations, res)
 		out.TotalSamples += res.Samples
@@ -132,7 +138,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 		// the incumbent, drop the configuration without the remaining
 		// invocations.
 		if b.UseOuterBound && outer.N() >= 2 && !math.IsInf(best, -1) {
-			iv := e.interval(&outer, b)
+			iv := ci.of(&outer)
 			if iv.Mean+iv.Margin() < best {
 				out.Pruned = true
 				break
@@ -147,10 +153,12 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 // runIteration executes one invocation's iteration loop under the budget.
 // timeLeft is the remaining measured-time allowance for this invocation
 // (already scoped by the caller). At least one iteration always runs, so
-// every invocation produces a mean.
+// every invocation produces a mean. Before every Step it polls done, the
+// evaluation context's Done channel, without blocking and without a
+// lock; once done has fired it returns, and Evaluate reports ctx.Err().
 //
 //rooflint:hotpath
-func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int, inst Instance, b Budget, best float64, timeLeft time.Duration) InvocationResult {
+func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation int, inst Instance, b Budget, ci intervals, best float64, timeLeft time.Duration) InvocationResult {
 	inst.Warmup()
 
 	var (
@@ -170,8 +178,10 @@ func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int
 		detector = stats.NewSteadyDetector(b.SteadyWindow, b.SteadyThreshold)
 	}
 	work := inst.Work()
+	relTarget := b.RelWidthTarget()
+	bounded := b.UseInnerBound && !math.IsInf(best, -1)
 	for count := 0; ; {
-		if ctx.Err() != nil {
+		if fired(done) {
 			break // Evaluate discards the partial outcome and reports ctx.Err()
 		}
 		if count >= b.MaxIterations {
@@ -213,32 +223,35 @@ func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int
 			continue
 		}
 
+		// Stop conditions 3 and 4 both test the sample's confidence
+		// interval; it is built once and shared between them.
+		confidence := b.UseConfidence && n >= b.MinCISamples
+		bound := bounded && n >= b.MinCount
+		var iv stats.Interval
+		if (confidence && !b.UseMedian) || bound {
+			iv = ci.of(&w)
+		}
+
 		// Stop condition 3: the confidence interval of the mean has
 		// converged to within +-1/ErrorInverse of the mean.
-		if b.UseConfidence && n >= b.MinCISamples {
+		if confidence {
 			if b.UseMedian {
-				if medianConverged(samples, b) {
+				if medianConverged(samples, relTarget) {
 					reason = StopConfidence
 					break
 				}
-			} else {
-				iv := e.interval(&w, b)
-				if iv.RelativeHalfWidth() <= b.RelWidthTarget() {
-					reason = StopConfidence
-					break
-				}
+			} else if iv.RelativeHalfWidth() <= relTarget {
+				reason = StopConfidence
+				break
 			}
 		}
 
 		// Stop condition 4 (Listing 1): mean + marg < best, after at
 		// least MinCount iterations. This ends the *iteration loop*; the
 		// invocation loop continues (the "Outer" flag handles that level).
-		if b.UseInnerBound && n >= b.MinCount && !math.IsInf(best, -1) {
-			iv := e.interval(&w, b)
-			if iv.Mean+iv.Margin() < best {
-				reason = StopBound
-				break
-			}
+		if bound && iv.Mean+iv.Margin() < best {
+			reason = StopBound
+			break
 		}
 	}
 
@@ -248,32 +261,60 @@ func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int
 		Measured: measured,
 		Reason:   reason,
 	}
-	res.CI = e.intervalFinal(&w, b)
+	res.CI = ci.final(&w)
 	return res
 }
 
-func (e *Evaluator) interval(w *stats.Welford, b Budget) stats.Interval {
-	if b.UseStudentT {
-		return stats.StudentCI(w, b.CILevel)
+// fired reports, without blocking, whether done has been closed. A nil
+// done (context.Background) never fires.
+func fired(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
-	return stats.NormalCI(w, b.CILevel)
 }
 
-func (e *Evaluator) intervalFinal(w *stats.Welford, b Budget) stats.Interval {
-	if w.N() < 2 {
-		return stats.Interval{Mean: w.Mean(), Lower: w.Mean(), Upper: w.Mean(), Level: b.CILevel}
+// intervals builds the confidence intervals of one evaluation. The
+// normal quantile depends only on the budget's level, so it is computed
+// once per evaluation rather than once per sample.
+type intervals struct {
+	studentT bool
+	level    float64
+	z        float64 // NormalQuantile(0.5 + level/2); unused under Student-t
+}
+
+func newIntervals(b Budget) intervals {
+	ci := intervals{studentT: b.UseStudentT, level: b.CILevel}
+	if !ci.studentT {
+		ci.z = stats.NormalQuantile(0.5 + b.CILevel/2)
 	}
-	return e.interval(w, b)
+	return ci
+}
+
+func (ci intervals) of(w *stats.Welford) stats.Interval {
+	if ci.studentT {
+		return stats.StudentCI(w, ci.level)
+	}
+	return stats.NormalCIWithZ(w, ci.level, ci.z)
+}
+
+func (ci intervals) final(w *stats.Welford) stats.Interval {
+	if w.N() < 2 {
+		return stats.Interval{Mean: w.Mean(), Lower: w.Mean(), Upper: w.Mean(), Level: ci.level}
+	}
+	return ci.of(w)
 }
 
 // medianConverged implements the future-work median rule: the notched
 // boxplot confidence interval of the median (1.58*IQR/sqrt(n)) relative
-// to the median is within the budget's target.
-func medianConverged(samples []float64, b Budget) bool {
+// to the median is within target, the budget's RelWidthTarget.
+func medianConverged(samples []float64, target float64) bool {
 	med := stats.Median(samples)
 	if med == 0 {
 		return false
 	}
 	marg := 1.58 * stats.IQR(samples) / math.Sqrt(float64(len(samples)))
-	return marg/math.Abs(med) <= b.RelWidthTarget()
+	return marg/math.Abs(med) <= target
 }

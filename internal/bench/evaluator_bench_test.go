@@ -73,3 +73,26 @@ func BenchmarkEvaluatePruned(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEvaluateSharedCtx runs evaluations in parallel under one
+// shared cancelable context, each goroutine with its own clock and
+// evaluator: the shape of concurrently running sweeps. A per-Step check
+// that locks the shared context shows up here as contention.
+func BenchmarkEvaluateSharedCtx(b *testing.B) {
+	budget := benchEvaluateBudget(false, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		clock := vclock.NewVirtual()
+		e := NewEvaluator(clock, budget)
+		c := constantCase(clock, time.Millisecond)
+		for pb.Next() {
+			if _, err := e.Evaluate(ctx, c, None); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

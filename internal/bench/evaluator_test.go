@@ -456,6 +456,43 @@ func TestEvaluateCancellation(t *testing.T) {
 	}
 }
 
+// errCountingCtx counts Err calls on a cancelable context.
+type errCountingCtx struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCountingCtx) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
+// TestEvaluateErrPerInvocation pins the lock-free cancellation check: on
+// a cancelable context Err takes the context's mutex, which every
+// concurrently running sweep shares, so the per-Step check must poll
+// Done instead. One evaluation may call Err a bounded number of times
+// per invocation, never once per Step.
+func TestEvaluateErrPerInvocation(t *testing.T) {
+	clock := vclock.NewVirtual()
+	b := DefaultBudget()
+	b.Invocations = 4
+	b.MaxIterations = 200
+	e := NewEvaluator(clock, b)
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCountingCtx{Context: parent}
+	out, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.TotalSamples != b.Invocations*b.MaxIterations {
+		t.Fatalf("TotalSamples = %d, want %d", out.TotalSamples, b.Invocations*b.MaxIterations)
+	}
+	if got, limit := ctx.errs.Load(), int64(2*b.Invocations+1); got > limit {
+		t.Fatalf("Evaluate called Err %d times over %d steps, want at most %d", got, out.TotalSamples, limit)
+	}
+}
+
 // samplerFunc adapts a closure to the Sampler interface for tests.
 type samplerFunc func()
 

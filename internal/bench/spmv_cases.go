@@ -42,7 +42,7 @@ func (c *simSpMVCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.nnz <= 0 || c.chunk <= 0 {
 		return nil, fmt.Errorf("bench: invalid SpMV configuration %s", c.Describe())
 	}
-	si := c.engine.SpMV.NewInvocation(c.n, c.nnz, c.chunk, c.sockets, inv, c.engine.Seed)
+	si := c.engine.SpMV().NewInvocation(c.n, c.nnz, c.chunk, c.sockets, inv, c.engine.Seed)
 	c.engine.Clock.Advance(si.SetupTime())
 	return &simSpMVInstance{clock: c.engine.Clock, inv: si}, nil
 }

@@ -42,7 +42,7 @@ func (c *simStencilCase) NewInvocation(inv int) (Instance, error) {
 	if c.nx < 3 || c.ny < 3 || c.tx <= 0 || c.ty <= 0 {
 		return nil, fmt.Errorf("bench: invalid stencil configuration %s", c.Describe())
 	}
-	si := c.engine.Stencil.NewInvocation(c.nx, c.ny, c.tx, c.ty, c.sockets, inv, c.engine.Seed)
+	si := c.engine.Stencil().NewInvocation(c.nx, c.ny, c.tx, c.ty, c.sockets, inv, c.engine.Seed)
 	c.engine.Clock.Advance(si.SetupTime())
 	return &simStencilInstance{clock: c.engine.Clock, inv: si}, nil
 }

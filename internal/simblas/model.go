@@ -214,6 +214,7 @@ type Invocation struct {
 	rng     *xrand.Rand
 	steadyT float64 // seconds per op at steady state for this invocation
 	params  Params
+	ramp    units.Ramp
 	iter    int
 }
 
@@ -235,6 +236,7 @@ func (m *Model) NewInvocation(n, mm, k, sockets, inv int, seed uint64) *Invocati
 	return &Invocation{
 		model: m, n: n, m: mm, k: k, sockets: sockets,
 		rng: rng, steadyT: steady, params: p,
+		ramp: units.WarmupRamp(p.RampDepth, p.RampTau),
 	}
 }
 
@@ -264,8 +266,8 @@ func (inv *Invocation) StepTime() time.Duration {
 }
 
 func (inv *Invocation) stepRaw() time.Duration {
-	p := inv.params
-	ramp := 1 - p.RampDepth*math.Exp(-float64(inv.iter+1)/p.RampTau)
+	p := &inv.params
+	ramp := inv.ramp.At(inv.iter)
 	inv.iter++
 	t := inv.steadyT / ramp
 	// Lognormal noise body.

@@ -257,3 +257,24 @@ func TestCalibratedSystemsList(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmupRampTable pins the memoised warm-up ramp bit for bit to the
+// direct formula, for every calibrated (RampDepth, RampTau) pair and the
+// generic fallback's.
+func TestWarmupRampTable(t *testing.T) {
+	calibs := []map[int]Params{genericCalibration(hw.IdunE52650v4)}
+	for _, c := range calibrations {
+		calibs = append(calibs, c)
+	}
+	for _, calib := range calibs {
+		for _, p := range calib {
+			r := units.WarmupRamp(p.RampDepth, p.RampTau)
+			for i := 0; i <= 100000; i++ {
+				want := 1 - p.RampDepth*math.Exp(-float64(i+1)/p.RampTau)
+				if got := r.At(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("ramp(%g, %g) at iter %d = %v, formula %v", p.RampDepth, p.RampTau, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -162,6 +162,7 @@ type Invocation struct {
 	rng     *xrand.Rand
 	steadyT float64
 	params  Params
+	ramp    units.Ramp
 	iter    int
 }
 
@@ -175,7 +176,8 @@ func (m *Model) NewInvocation(n, nnzPerRow, chunk, sockets, inv int, seed uint64
 	steady := Flops(n, nnzPerRow) / float64(m.SteadyFlops(n, nnzPerRow, chunk, sockets))
 	steady *= rng.LogNormal(0, p.InvSigma)
 	return &Invocation{model: m, n: n, nnz: nnzPerRow, chunk: chunk,
-		sockets: sockets, rng: rng, steadyT: steady, params: p}
+		sockets: sockets, rng: rng, steadyT: steady, params: p,
+		ramp: units.WarmupRamp(p.RampDepth, p.RampTau)}
 }
 
 // SetupTime models process start, synthetic-matrix construction (a few
@@ -201,8 +203,8 @@ func (inv *Invocation) StepTime() time.Duration {
 }
 
 func (inv *Invocation) stepRaw() time.Duration {
-	p := inv.params
-	ramp := 1 - p.RampDepth*math.Exp(-float64(inv.iter+1)/p.RampTau)
+	p := &inv.params
+	ramp := inv.ramp.At(inv.iter)
 	inv.iter++
 	t := inv.steadyT / ramp
 	t *= inv.rng.LogNormal(0, p.IterSigma)

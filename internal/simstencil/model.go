@@ -166,6 +166,7 @@ type Invocation struct {
 	rng     *xrand.Rand
 	steadyT float64
 	params  Params
+	ramp    units.Ramp
 	iter    int
 }
 
@@ -178,7 +179,8 @@ func (m *Model) NewInvocation(nx, ny, tileX, tileY, sockets, inv int, seed uint6
 	steady := Flops(nx, ny) / float64(m.SteadyFlops(nx, ny, tileX, tileY, sockets))
 	steady *= rng.LogNormal(0, p.InvSigma)
 	return &Invocation{model: m, nx: nx, ny: ny, tx: tileX, ty: tileY,
-		sockets: sockets, rng: rng, steadyT: steady, params: p}
+		sockets: sockets, rng: rng, steadyT: steady, params: p,
+		ramp: units.WarmupRamp(p.RampDepth, p.RampTau)}
 }
 
 // SetupTime models process start plus first-touch of the two grids at
@@ -198,8 +200,8 @@ func (inv *Invocation) StepTime() time.Duration {
 }
 
 func (inv *Invocation) stepRaw() time.Duration {
-	p := inv.params
-	ramp := 1 - p.RampDepth*math.Exp(-float64(inv.iter+1)/p.RampTau)
+	p := &inv.params
+	ramp := inv.ramp.At(inv.iter)
 	inv.iter++
 	t := inv.steadyT / ramp
 	t *= inv.rng.LogNormal(0, p.IterSigma)

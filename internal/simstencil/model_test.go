@@ -1,6 +1,7 @@
 package simstencil
 
 import (
+	"math"
 	"testing"
 
 	"rooftune/internal/hw"
@@ -108,5 +109,26 @@ func TestUncalibratedSystemWorks(t *testing.T) {
 	m := NewModel(s)
 	if f := m.SteadyFlops(2048, 2048, 512, 32, 1); f <= 0 {
 		t.Fatalf("generic calibration gave %v", f)
+	}
+}
+
+// TestWarmupRampTable pins the memoised warm-up ramp bit for bit to the
+// direct formula, for every calibrated (RampDepth, RampTau) pair and the
+// generic fallback's.
+func TestWarmupRampTable(t *testing.T) {
+	calibs := []map[int]Params{genericCalibration(hw.IdunE52650v4)}
+	for _, c := range stencilCalibrations {
+		calibs = append(calibs, c)
+	}
+	for _, calib := range calibs {
+		for _, p := range calib {
+			r := units.WarmupRamp(p.RampDepth, p.RampTau)
+			for i := 0; i <= 100000; i++ {
+				want := 1 - p.RampDepth*math.Exp(-float64(i+1)/p.RampTau)
+				if got := r.At(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("ramp(%g, %g) at iter %d = %v, formula %v", p.RampDepth, p.RampTau, i, got, want)
+				}
+			}
+		}
 	}
 }

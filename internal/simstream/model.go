@@ -309,10 +309,14 @@ func (inv *Invocation) StepTime() time.Duration {
 	return vclock.QuantizeMicro(inv.stepRaw())
 }
 
+// The TRIAD warm-up is short: the first pass faults pages and populates
+// caches, and the unmeasured Warmup call absorbs most of it.
+const rampDepth, rampTau = 0.08, 1.2
+
+var warmup = units.WarmupRamp(rampDepth, rampTau)
+
 func (inv *Invocation) stepRaw() time.Duration {
-	// Short warm-up: the first pass faults pages and populates caches;
-	// the unmeasured Warmup call absorbs most of it.
-	ramp := 1 - 0.08*math.Exp(-float64(inv.iter+1)/1.2)
+	ramp := warmup.At(inv.iter)
 	inv.iter++
 	t := inv.steadyT * float64(inv.passes) / ramp
 	t *= inv.rng.LogNormal(0, inv.params.IterSigma)

@@ -278,3 +278,15 @@ func TestMinMeasuredPassBatchesDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmupRampTable pins the memoised TRIAD warm-up ramp bit for bit to
+// the direct formula.
+func TestWarmupRampTable(t *testing.T) {
+	r := units.WarmupRamp(rampDepth, rampTau)
+	for i := 0; i <= 100000; i++ {
+		want := 1 - rampDepth*math.Exp(-float64(i+1)/rampTau)
+		if got := r.At(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ramp(%g, %g) at iter %d = %v, formula %v", rampDepth, rampTau, i, got, want)
+		}
+	}
+}

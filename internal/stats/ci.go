@@ -47,12 +47,22 @@ func (iv Interval) String() string {
 // assuming normality as the paper does (§III-C3): mean ± z * S/sqrt(n).
 // With fewer than two observations the interval has infinite width.
 func NormalCI(w *Welford, level float64) Interval {
+	if w.N() < 2 {
+		return NormalCIWithZ(w, level, 0)
+	}
+	return NormalCIWithZ(w, level, NormalQuantile(0.5+level/2))
+}
+
+// NormalCIWithZ is NormalCI with its quantile z = NormalQuantile(0.5 +
+// level/2) supplied by the caller, so a loop that builds an interval per
+// sample at one level computes the quantile once. The interval is
+// bit-identical to NormalCI's.
+func NormalCIWithZ(w *Welford, level, z float64) Interval {
 	iv := Interval{Mean: w.Mean(), Level: level}
 	if w.N() < 2 {
 		iv.Lower, iv.Upper = math.Inf(-1), math.Inf(1)
 		return iv
 	}
-	z := NormalQuantile(0.5 + level/2)
 	marg := z * w.StdErr()
 	iv.Lower, iv.Upper = iv.Mean-marg, iv.Mean+marg
 	return iv

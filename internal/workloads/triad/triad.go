@@ -123,7 +123,7 @@ func planSimulated(sys hw.System, p workload.Params, levels []string) workload.P
 				// microsecond timer resolution; batch passes per measured
 				// step so the sweep recovers the plateau, not the
 				// quantisation floor.
-				eng.Triad.MinMeasuredPass = simstream.DefaultMinMeasuredPass
+				eng.Triad().MinMeasuredPass = simstream.DefaultMinMeasuredPass
 			}
 			var cases []bench.Case
 			for _, n := range grid {
