@@ -61,7 +61,7 @@ func main() {
 }
 
 func run(eval *bench.Evaluator, c bench.Case) {
-	out, err := eval.Evaluate(context.Background(), c, bench.None)
+	out, err := eval.Evaluate(context.Background(), c, bench.NoBest)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgemmbench:", err)
 		os.Exit(1)

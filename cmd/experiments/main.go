@@ -131,18 +131,19 @@ func main() {
 		emitTable(r.Table7())
 	}
 
-	optNeeded := map[string]string{"table8": "2650v4", "table9": "2695v4",
-		"table10": "Gold 6132", "table11": "Gold 6148"}
+	// Paper order: Tables VIII-XI and the Fig. 5 series follow this slice.
+	optNeeded := []struct{ key, sys string }{{"table8", "2650v4"}, {"table9", "2695v4"},
+		{"table10", "Gold 6132"}, {"table11", "Gold 6148"}}
 	var optTables []*experiments.OptTable
-	for key, sys := range optNeeded {
-		if all || want[key] || want["fig5"] {
-			tbl, err := r.OptimizationTable(sys)
+	for _, o := range optNeeded {
+		if all || want[o.key] || want["fig5"] {
+			tbl, err := r.OptimizationTable(o.sys)
 			if err != nil {
 				fail(err)
 			}
 			optTables = append(optTables, tbl)
-			if all || want[key] {
-				emitTable(tbl.Render(experiments.OptTableNumbers[sys]))
+			if all || want[o.key] {
+				emitTable(tbl.Render(experiments.OptTableNumbers[o.sys]))
 			}
 		}
 	}

@@ -3,9 +3,8 @@
 // the invariants the reproduction's trustworthiness rests on —
 // exhaustive bench.Config handling, deterministic time and randomness
 // on the measurement path, pooled concurrency, context-first blocking
-// APIs, the monotone incumbent protocol, the committed API-surface and
-// wire-schema goldens, the serving tier's lock discipline, and the
-// hot paths' no-allocation discipline.
+// APIs, the committed API-surface and wire-schema goldens, the serving
+// tier's lock discipline, and the hot paths' no-allocation discipline.
 //
 //	go run ./cmd/rooflint ./...               # lint the tree (CI runs this)
 //	go run ./cmd/rooflint -list               # print the registered analyzers
@@ -35,7 +34,6 @@ import (
 	"rooftune/internal/lint/configsum"
 	"rooftune/internal/lint/ctxfirst"
 	"rooftune/internal/lint/golden"
-	"rooftune/internal/lint/incumbentwrite"
 	"rooftune/internal/lint/lockorder"
 	"rooftune/internal/lint/noalloc"
 	"rooftune/internal/lint/nodeterminism"
@@ -57,7 +55,6 @@ var analyzers = []*analysis.Analyzer{
 	apisurface.Analyzer,
 	configsum.Analyzer,
 	ctxfirst.Analyzer,
-	incumbentwrite.Analyzer,
 	lockorder.Analyzer,
 	noalloc.Analyzer,
 	nodeterminism.Analyzer,

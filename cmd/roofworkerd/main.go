@@ -17,7 +17,6 @@
 // Endpoints (see the README "Distributed sweeps" section):
 //
 //	POST /dist/v1/run      execute one node spec, long-poll the outcome
-//	POST /dist/v1/bound    push a monotone incumbent bound to a running node
 //	GET  /dist/v1/healthz  enrollment heartbeat (identity, load, capacity)
 //	GET  /metrics          Prometheus text-format exposition
 //

@@ -37,17 +37,12 @@ import (
 // speaking a different dialect.
 const Schema = "rooftune/dist/v1"
 
-// Worker endpoints. The coordinator POSTs node specs to PathRun, pushes
-// monotone incumbent bounds to PathBound, and polls PathHealth to
-// enroll workers and detect death.
+// Worker endpoints. The coordinator POSTs node specs to PathRun and
+// polls PathHealth to enroll workers and detect death.
 const (
 	// PathRun executes one plan-graph node: POST a NodeSpec, receive a
 	// NodeOutcome (or an ErrorEnvelope).
 	PathRun = "/dist/v1/run"
-	// PathBound offers an incumbent bound to a running node: POST a
-	// BoundUpdate, receive a BoundAck. Offers are monotone CAS-max and
-	// order-insensitive, so replays and late arrivals are harmless.
-	PathBound = "/dist/v1/bound"
 	// PathHealth is the heartbeat: GET returns a Heartbeat snapshot.
 	PathHealth = "/dist/v1/healthz"
 )
@@ -129,28 +124,6 @@ type NodeOutcome struct {
 	TotalSamples int `json:"totalSamples"`
 }
 
-// BoundUpdate offers an incumbent bound to a node running on a worker,
-// addressed by node fingerprint. The offer is monotone (CAS-max): a
-// bound below the node's current incumbent is a no-op, so replays,
-// reorders and duplicates are all harmless.
-type BoundUpdate struct {
-	// Schema is the Schema constant.
-	Schema string `json:"schema"`
-	// Fingerprint addresses the running node.
-	Fingerprint string `json:"fingerprint"`
-	// Value is the offered bound in metric base units.
-	Value float64 `json:"value"`
-}
-
-// BoundAck answers a BoundUpdate.
-type BoundAck struct {
-	// Applied reports that the fingerprint named a node this worker is
-	// running and the offer was delivered (false: unknown node — the
-	// coordinator may be pushing to a worker that already finished or
-	// never received it; not an error).
-	Applied bool `json:"applied"`
-}
-
 // Heartbeat is the worker's health snapshot, returned by PathHealth.
 type Heartbeat struct {
 	// Schema is the Schema constant.
@@ -214,19 +187,6 @@ func ParseNodeSpec(r io.Reader) (NodeSpec, error) {
 		return s, fmt.Errorf("dist: parse node spec: schema %q, want %q", s.Schema, Schema)
 	}
 	return s, nil
-}
-
-// ParseBoundUpdate decodes a bound update, rejecting unknown fields and
-// other schema dialects.
-func ParseBoundUpdate(r io.Reader) (BoundUpdate, error) {
-	var u BoundUpdate
-	if err := parse(r, &u); err != nil {
-		return u, fmt.Errorf("dist: parse bound update: %w", err)
-	}
-	if u.Schema != Schema {
-		return u, fmt.Errorf("dist: parse bound update: schema %q, want %q", u.Schema, Schema)
-	}
-	return u, nil
 }
 
 func parse(r io.Reader, v any) error {

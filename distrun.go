@@ -36,32 +36,6 @@ var ErrExecLocal = sweep.ErrExecUnavailable
 // node goroutines and must be safe for concurrent use.
 type NodeExec func(ctx context.Context, nodeID string, seedValue float64) (*distv1.NodeOutcome, error)
 
-// SharedBound is a monotone incumbent bound that can be shared across
-// processes: offers only ever raise it (CAS-max over measured means),
-// so pushes may arrive late, duplicated or reordered without affecting
-// correctness — the PR 3 incumbent protocol, exposed for the
-// distributed tier. A worker wires one into a running node via RunNode
-// and applies bounds pushed to it mid-sweep.
-type SharedBound struct {
-	inc *bench.AtomicIncumbent
-}
-
-// NewSharedBound returns an empty bound.
-func NewSharedBound() *SharedBound {
-	return &SharedBound{inc: bench.NewAtomicIncumbent()}
-}
-
-// Offer raises the bound to v if v beats it; lower or NaN offers are
-// no-ops. Safe for concurrent use.
-func (b *SharedBound) Offer(v float64) { b.inc.Offer(v) }
-
-// Bound returns the current bound in metric base units, and whether any
-// offer has been applied yet.
-func (b *SharedBound) Bound() (float64, bool) {
-	v := b.inc.Bound()
-	return v, v != bench.NoBest
-}
-
 // RunDist plans the session's campaign and executes its plan graph like
 // Run, but delegates each node's execution to exec — the distributed
 // coordinator's dispatch hook. The topological schedule and seeding
@@ -120,19 +94,12 @@ func remoteExec(nodes []sweep.Node, exec NodeExec) sweep.ExecFunc {
 // runs precisely as a local Run executing the whole graph would have
 // run it (same validation and budget), with its incumbent pre-seeded by
 // seedValue (0: unseeded) — the coordinator supplies the dependency
-// winner the local schedule would have. bound, when non-nil,
-// is additionally wired into the search so bounds pushed to it
-// mid-sweep prune like local incumbent discoveries (monotone, so pushes
-// are harmless whenever they arrive). The one-Run-at-a-time contract
+// winner the local schedule would have. The one-Run-at-a-time contract
 // applies (ErrConcurrentRun).
-func (s *Session) RunNode(ctx context.Context, nodeID string, seedValue float64, bound *SharedBound) (*distv1.NodeOutcome, error) {
-	var inc *bench.AtomicIncumbent
-	if bound != nil {
-		inc = bound.inc
-	}
+func (s *Session) RunNode(ctx context.Context, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {
 	var out sweep.Outcome
 	_, _, err := s.execute(ctx, func(ctx context.Context, runner *sweep.Runner, nodes []sweep.Node) (err error) {
-		out, err = runner.RunNode(ctx, nodes, nodeID, seedValue, inc)
+		out, err = runner.RunNode(ctx, nodes, nodeID, seedValue)
 		return err
 	})
 	if err != nil {

@@ -54,7 +54,7 @@ func TestSimEngineMeasuredPerfNearModel(t *testing.T) {
 	// calibrated performance (Table IV values) within noise.
 	eng := NewSimEngine(hw.IdunE52650v4, 1021)
 	eval := NewEvaluator(eng.Clock, DefaultBudget())
-	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 4096, 128, 1), None)
+	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 4096, 128, 1), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSimEngineSeedReplay(t *testing.T) {
 		eng := NewSimEngine(hw.IdunGold6132, seed)
 		eval := NewEvaluator(eng.Clock, Budget{Invocations: 2, MaxIterations: 20,
 			MaxTime: time.Hour, ErrorInverse: 100, CILevel: 0.99})
-		out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(2000, 2048, 256, 2), None)
+		out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(2000, 2048, 256, 2), NoBest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestNativeEngineDGEMM(t *testing.T) {
 	b := Budget{Invocations: 2, MaxIterations: 3, MaxTime: time.Minute,
 		ErrorInverse: 100, CILevel: 0.99}
 	eval := NewEvaluator(eng.Clock, b)
-	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(64, 64, 64), None)
+	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(64, 64, 64), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNativeEngineTriad(t *testing.T) {
 	b := Budget{Invocations: 1, MaxIterations: 3, MaxTime: time.Minute,
 		ErrorInverse: 100, CILevel: 0.99}
 	eval := NewEvaluator(eng.Clock, b)
-	out, err := eval.Evaluate(context.Background(), eng.TriadCase(1<<16), None)
+	out, err := eval.Evaluate(context.Background(), eng.TriadCase(1<<16), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}

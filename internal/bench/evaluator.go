@@ -76,12 +76,10 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 }
 
 // Evaluate runs the full invocation/iteration process for case c, pruning
-// against the incumbent bound inc (use None if no incumbent exists). The
-// bound is loaded exactly once, on entry, so the whole evaluation prunes
-// against one consistent value, even when inc is a shared AtomicIncumbent
-// that rises mid-evaluation. The returned outcome's Elapsed is measured
-// on the evaluator's clock, so it includes setup and warm-up cost —
-// everything the search pays for.
+// against best, the incumbent's metric value in base units (NoBest if no
+// incumbent exists). The returned outcome's Elapsed is measured on the
+// evaluator's clock, so it includes setup and warm-up cost — everything
+// the search pays for.
 //
 // Cancelling ctx aborts the evaluation between kernel executions — after
 // at most one more Step — and returns ctx.Err(); the partial outcome is
@@ -92,8 +90,7 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 // the channel has fired.
 //
 //rooflint:hotpath
-func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outcome, error) {
-	best := inc.Bound()
+func (e *Evaluator) Evaluate(ctx context.Context, c Case, best float64) (*Outcome, error) {
 	b := e.Budget.normalized()
 	ci := newIntervals(b)
 	done := ctx.Done()

@@ -36,7 +36,7 @@ func benchmarkEvaluate(b *testing.B, budget Budget) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(ctx, c, None); err != nil {
+		if _, err := e.Evaluate(ctx, c, NoBest); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkEvaluatePruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(ctx, c, Fixed(1e15)); err != nil {
+		if _, err := e.Evaluate(ctx, c, 1e15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkEvaluateSharedCtx(b *testing.B) {
 		e := NewEvaluator(clock, budget)
 		c := constantCase(clock, time.Millisecond)
 		for pb.Next() {
-			if _, err := e.Evaluate(ctx, c, None); err != nil {
+			if _, err := e.Evaluate(ctx, c, NoBest); err != nil {
 				b.Error(err)
 				return
 			}

@@ -68,7 +68,7 @@ func TestStopMaxCount(t *testing.T) {
 	b.Invocations = 2
 	b.MaxIterations = 7
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestStopMaxTimePerInvocation(t *testing.T) {
 	b.MaxTime = 10 * time.Millisecond
 	b.Scope = ScopePerInvocation
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), constantCase(clock, 3*time.Millisecond), None)
+	out, err := e.Evaluate(context.Background(), constantCase(clock, 3*time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStopMaxTimePerConfig(t *testing.T) {
 	b.MaxTime = 10 * time.Millisecond
 	b.Scope = ScopePerConfig
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), constantCase(clock, 3*time.Millisecond), None)
+	out, err := e.Evaluate(context.Background(), constantCase(clock, 3*time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStopConfidenceConstantSamples(t *testing.T) {
 	b.MinCISamples = 5
 	e := NewEvaluator(clock, b)
 	// Constant samples: zero variance, CI collapses at the first check.
-	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestConfidenceRespectsMinCISamples(t *testing.T) {
 	b.UseConfidence = true
 	b.MinCISamples = 17
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if out.Invocations[0].Samples != 17 {
 		t.Fatalf("stopped at n=%d, want 17", out.Invocations[0].Samples)
 	}
@@ -173,7 +173,7 @@ func TestInnerBoundEndsInvocationNotConfig(t *testing.T) {
 	b.UseInnerBound = true
 	b.MinCount = 2
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), c, Fixed(1e12))
+	out, err := e.Evaluate(context.Background(), c, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestInnerBoundRespectsMinCount(t *testing.T) {
 	b.UseInnerBound = true
 	b.MinCount = 100 // the paper's 2695v4 remedy
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), c, Fixed(1e12))
+	out, _ := e.Evaluate(context.Background(), c, 1e12)
 	if got := out.Invocations[0].Samples; got != 100 {
 		t.Fatalf("bound fired at n=%d, want exactly min_count=100", got)
 	}
@@ -221,7 +221,7 @@ func TestOuterBoundPrunesConfig(t *testing.T) {
 	b.MaxIterations = 5
 	b.UseOuterBound = true
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), c, Fixed(1e12))
+	out, err := e.Evaluate(context.Background(), c, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestOuterBoundNeedsTwoInvocations(t *testing.T) {
 	b.MaxIterations = 5
 	b.UseOuterBound = true
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), c, Fixed(1e12))
+	out, _ := e.Evaluate(context.Background(), c, 1e12)
 	if out.Pruned {
 		t.Fatal("outer bound must not fire with a single invocation mean")
 	}
@@ -256,7 +256,7 @@ func TestNoBoundWithoutIncumbent(t *testing.T) {
 	b.UseInnerBound = true
 	b.UseOuterBound = true
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), c, None)
+	out, _ := e.Evaluate(context.Background(), c, NoBest)
 	if out.Pruned || out.InnerStops > 0 {
 		t.Fatal("stop condition 4 must never fire against NoBest")
 	}
@@ -282,7 +282,7 @@ func TestListing1Semantics(t *testing.T) {
 	b.UseInnerBound = true
 	e := NewEvaluator(clock, b)
 	// mean metric ~1e12; best just 0.5% above: CI (wide, n small) covers it.
-	out, _ := e.Evaluate(context.Background(), c, Fixed(1.005e12))
+	out, _ := e.Evaluate(context.Background(), c, 1.005e12)
 	if out.Invocations[0].Reason == StopBound {
 		t.Fatal("bound fired although the CI still covered the incumbent")
 	}
@@ -290,7 +290,7 @@ func TestListing1Semantics(t *testing.T) {
 	clock2 := vclock.NewVirtual()
 	c.clock = clock2
 	e2 := NewEvaluator(clock2, b)
-	out2, _ := e2.Evaluate(context.Background(), c, Fixed(1.4e12))
+	out2, _ := e2.Evaluate(context.Background(), c, 1.4e12)
 	if out2.Invocations[0].Reason != StopBound {
 		t.Fatalf("bound must fire against a hopeless incumbent: %+v", out2.Invocations[0])
 	}
@@ -302,7 +302,7 @@ func TestElapsedTracksClock(t *testing.T) {
 	b.Invocations = 2
 	b.MaxIterations = 10
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if out.Elapsed != clock.Now() {
 		t.Fatalf("Elapsed %v != clock %v", out.Elapsed, clock.Now())
 	}
@@ -325,7 +325,7 @@ func TestMeanOverInvocationMeans(t *testing.T) {
 	b.Invocations = 2
 	b.MaxIterations = 4
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), c, None)
+	out, _ := e.Evaluate(context.Background(), c, NoBest)
 	want := (1e12 + 5e11) / 2
 	if math.Abs(out.Mean-want)/want > 1e-9 {
 		t.Fatalf("Mean = %v, want %v", out.Mean, want)
@@ -341,7 +341,7 @@ func TestStudentTBudget(t *testing.T) {
 	b.UseStudentT = true
 	b.MinCISamples = 5
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if out.Invocations[0].Reason != StopConfidence {
 		t.Fatal("t-interval must also converge on constant data")
 	}
@@ -355,7 +355,7 @@ func TestMedianStopCondition(t *testing.T) {
 	b.UseMedian = true
 	b.MinCISamples = 5
 	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if out.Invocations[0].Reason != StopConfidence {
 		t.Fatal("median rule must converge on constant data")
 	}
@@ -405,7 +405,7 @@ func TestStopReasonStrings(t *testing.T) {
 func TestEvaluateErrorPropagation(t *testing.T) {
 	clock := vclock.NewVirtual()
 	e := NewEvaluator(clock, DefaultBudget())
-	_, err := e.Evaluate(context.Background(), &failingCase{}, None)
+	_, err := e.Evaluate(context.Background(), &failingCase{}, NoBest)
 	if err == nil {
 		t.Fatal("engine errors must propagate")
 	}
@@ -430,7 +430,7 @@ func TestEvaluateCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), None); !errors.Is(err, context.Canceled) {
+	if _, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), NoBest); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
@@ -444,7 +444,7 @@ func TestEvaluateCancellation(t *testing.T) {
 			cancel()
 		}
 	})
-	out, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), None)
+	out, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), NoBest)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -481,7 +481,7 @@ func TestEvaluateErrPerInvocation(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := &errCountingCtx{Context: parent}
-	out, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), None)
+	out, err := e.Evaluate(ctx, constantCase(clock, time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestEvaluatorSamplerWiring(t *testing.T) {
 	b.MaxIterations = 5
 	e := NewEvaluator(clock, b)
 	e.Sampler = buf
-	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), None)
+	out, err := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSteadyStateExcludesRamp(t *testing.T) {
 		b.SteadyWindow = 8
 		b.SteadyThreshold = 0.01
 		e := NewEvaluator(clock, b)
-		out, err := e.Evaluate(context.Background(), c, Fixed(best))
+		out, err := e.Evaluate(context.Background(), c, best)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestSteadyStateFallbackWhenNeverSteady(t *testing.T) {
 	b.UseSteadyState = true
 	b.SteadyThreshold = 1e-9 // unreachable
 	e := NewEvaluator(clock, b)
-	out, err := e.Evaluate(context.Background(), c, None)
+	out, err := e.Evaluate(context.Background(), c, NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func (l *LocalSearch) Run(ctx context.Context, cases []bench.Case) (*Result, err
 		if o, ok := memo[i]; ok {
 			return o, nil
 		}
-		o, err := l.Evaluator.Evaluate(ctx, cases[i], bench.Fixed(best))
+		o, err := l.Evaluator.Evaluate(ctx, cases[i], best)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func (t *Tuner) RunWithSecondChance(ctx context.Context, cases []bench.Case, sc 
 		if !ok {
 			continue
 		}
-		re, err := reEval.Evaluate(ctx, c, bench.None)
+		re, err := reEval.Evaluate(ctx, c, bench.NoBest)
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ type Result struct {
 	Best *bench.Outcome
 	// BestPruned reports that every configuration was outer-pruned (only
 	// possible when the incumbent bound was pre-seeded by a chained
-	// dependency, a pushed bound or a caller-supplied value) and Best
+	// dependency or a caller-supplied value) and Best
 	// holds the highest *truncated partial* mean rather than a measured
 	// winner. Callers reporting Best as a measurement should surface this.
 	BestPruned bool
@@ -73,7 +73,8 @@ func (r *Result) BestValue() float64 {
 // adaptive evaluation process. Simple search techniques are the right
 // tool at this cardinality (§IV-C): the spaces are small and sample cost
 // dominates, so the win comes from cutting samples per configuration,
-// not from clever traversal.
+// not from clever traversal. The incumbent is one plain value owned by
+// Run: the pre-seed (Incumbent), raised by every non-pruned win.
 type Tuner struct {
 	Evaluator *bench.Evaluator
 	Order     Order
@@ -91,18 +92,6 @@ type Tuner struct {
 	// configuration can end up outer-pruned; Result.BestPruned reports
 	// when the returned Best is such a salvage value.
 	Incumbent float64
-	// Shared, when non-nil, is an externally owned monotone incumbent
-	// the search both reads and feeds: each evaluation prunes against
-	// the higher of the local incumbent and the shared bound at that
-	// moment, and every non-pruned mean is offered back. It exists for
-	// distributed execution — a coordinator pushes bounds into a
-	// worker's running search mid-sweep — and inherits the CAS-max
-	// protocol's guarantees: offers only ever raise the bound, so
-	// replayed, reordered or duplicate pushes are harmless, and a bound
-	// is only ever a measured mean of the same metric, so the winner is
-	// unchanged — only PrunedCount/TotalSamples can move (toward more
-	// pruning).
-	Shared *bench.AtomicIncumbent
 }
 
 // NewTuner builds a tuner with the given evaluation budget on the clock.
@@ -133,25 +122,13 @@ func (t *Tuner) Run(ctx context.Context, cases []bench.Case) (*Result, error) {
 	outs := make([]*bench.Outcome, 0, len(ordered))
 	best := t.seedBound()
 	for _, c := range ordered {
-		bound := best
-		if t.Shared != nil {
-			// An externally pushed bound is a measured mean of the same
-			// metric, so pruning against it is as sound as pruning
-			// against a local win — see Shared.
-			if sb := t.Shared.Bound(); sb > bound {
-				bound = sb
-			}
-		}
-		out, err := t.Evaluator.Evaluate(ctx, c, bench.Fixed(bound))
+		out, err := t.Evaluator.Evaluate(ctx, c, best)
 		if err != nil {
 			return nil, err
 		}
 		outs = append(outs, out)
 		if out.Better(best) {
 			best = out.Mean
-		}
-		if t.Shared != nil && !out.Pruned {
-			t.Shared.Offer(out.Mean)
 		}
 		if t.OnOutcome != nil {
 			t.OnOutcome(out)

@@ -53,8 +53,6 @@ type Stats struct {
 	// LocalFallback counts nodes executed in-process because no live
 	// worker remained.
 	LocalFallback uint64
-	// BoundPushes counts incumbent-bound updates pushed to workers.
-	BoundPushes uint64
 	// WorkerErrors counts failed dispatch attempts (connection errors
 	// and node-failed responses).
 	WorkerErrors uint64
@@ -78,7 +76,6 @@ type Coordinator struct {
 	deduped       atomic.Uint64
 	leaseExpired  atomic.Uint64
 	localFallback atomic.Uint64
-	boundPushes   atomic.Uint64
 	workerErrors  atomic.Uint64
 }
 
@@ -134,9 +131,6 @@ func (c *Coordinator) register(m *metrics.Set) {
 	m.CounterFunc("roofdist_local_fallback_total", "",
 		"Nodes executed in-process because no live worker remained.",
 		c.localFallback.Load)
-	m.CounterFunc("roofdist_bound_pushes_total", "",
-		"Incumbent-bound updates pushed to workers.",
-		c.boundPushes.Load)
 	m.CounterFunc("roofdist_worker_errors_total", "",
 		"Failed dispatch attempts (connection errors, node failures).",
 		c.workerErrors.Load)
@@ -153,7 +147,6 @@ func (c *Coordinator) Stats() Stats {
 		Deduped:       c.deduped.Load(),
 		LeaseExpired:  c.leaseExpired.Load(),
 		LocalFallback: c.localFallback.Load(),
-		BoundPushes:   c.boundPushes.Load(),
 		WorkerErrors:  c.workerErrors.Load(),
 	}
 }
@@ -235,7 +228,7 @@ func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nod
 		c.localFallback.Add(1)
 		return nil, rooftune.ErrExecLocal
 	}
-	out, err := c.await(ctx, results, launch, seedValue, fp, tried)
+	out, err := c.await(ctx, results, launch)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +244,7 @@ func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nod
 // and requeues reuse the prepared request body.
 //
 //rooflint:hotpath
-func (c *Coordinator) await(ctx context.Context, results chan attemptResult, launch func() bool, seedValue float64, fp string, tried map[string]bool) (*distv1.NodeOutcome, error) {
+func (c *Coordinator) await(ctx context.Context, results chan attemptResult, launch func() bool) (*distv1.NodeOutcome, error) {
 	outstanding := 1
 	timer := time.NewTimer(c.lease)
 	defer timer.Stop()
@@ -285,12 +278,6 @@ func (c *Coordinator) await(ctx context.Context, results chan attemptResult, lau
 			if launch() {
 				outstanding++
 				c.requeued.Add(1)
-				// Give the fresh attempt the seed incumbent the slow
-				// ones already have — monotone, so a no-op there — to
-				// keep every attempt's pruning view converged.
-				if seedValue > 0 {
-					c.pushBound(ctx, fp, seedValue, tried)
-				}
 			}
 			timer.Reset(c.lease)
 		case <-ctx.Done():
@@ -360,33 +347,4 @@ func (c *Coordinator) postNode(ctx context.Context, url string, body []byte) (ou
 		return nil, false, false, fmt.Errorf("dist: worker %s: outcome schema %q, want %q", url, no.Schema, distv1.Schema)
 	}
 	return &no, false, false, nil
-}
-
-// pushBound broadcasts an incumbent bound to every worker this node was
-// dispatched to. Fire-and-forget: the bound protocol is monotone, so a
-// lost push costs only pruning opportunity, never correctness.
-func (c *Coordinator) pushBound(ctx context.Context, fp string, value float64, tried map[string]bool) {
-	upd := distv1.BoundUpdate{Schema: distv1.Schema, Fingerprint: fp, Value: value}
-	body, err := json.Marshal(upd)
-	if err != nil {
-		return
-	}
-	for url := range tried {
-		c.boundPushes.Add(1)
-		//rooflint:allow nogoroutine -- fire-and-forget monotone bound push, bounded by its own short deadline; losing it affects pruning speed only, never the result
-		go func(url string) {
-			pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodPost, url+distv1.PathBound, bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			resp.Body.Close()
-		}(url)
-	}
 }

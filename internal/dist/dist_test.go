@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -318,26 +319,56 @@ func TestLocalFallbackNoWorkers(t *testing.T) {
 	}
 }
 
-// TestBoundPushUnknownFingerprint: pushing a bound for a node the
-// worker is not running acks Applied=false and is harmless — the
-// protocol treats missed pushes as lost pruning opportunity only.
-func TestBoundPushUnknownFingerprint(t *testing.T) {
+// TestLegacyBoundPushNotFound: a coordinator built before the bound
+// endpoint was removed still pushes to POST /dist/v1/bound on lease
+// expiry. Those pushes were fire-and-forget, so the worker answering
+// 404 is the whole interop contract — and the worker must go on
+// serving node runs afterwards.
+func TestLegacyBoundPushNotFound(t *testing.T) {
 	w := startWorker(t, "w", nil)
-	body := strings.NewReader(`{"schema":"` + distv1.Schema + `","fingerprint":"nope","value":42}`)
-	resp, err := http.Post(w.ts.URL+distv1.PathBound, "application/json", body)
+	push := `{"schema":"` + distv1.Schema + `","fingerprint":"nope","value":42}`
+	resp, err := http.Post(w.ts.URL+"/dist/v1/bound", "application/json", strings.NewReader(push))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("legacy bound push: status %d, want 404", resp.StatusCode)
+	}
+
+	camp, sess, err := resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	campFP, err := sess.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	campJSON, err := json.Marshal(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodeID = "triad/L2/1s"
+	spec, err := json.Marshal(distv1.NodeSpec{
+		Schema:      distv1.Schema,
+		Campaign:    campJSON,
+		NodeID:      nodeID,
+		Fingerprint: distv1.NodeFingerprint(campFP, nodeID, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(w.ts.URL+distv1.PathRun, "application/json", bytes.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bound push status %d", resp.StatusCode)
-	}
-	var ack distv1.BoundAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+	var out distv1.NodeOutcome
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if ack.Applied {
-		t.Fatal("bound for unknown fingerprint reported Applied=true")
+	if resp.StatusCode != http.StatusOK || out.NodeID != nodeID {
+		t.Fatalf("run after legacy push: status %d, node %q, want 200 %q", resp.StatusCode, out.NodeID, nodeID)
 	}
 }
 

@@ -29,10 +29,10 @@
 //     and joins duplicates of a running node, so a requeued or replayed
 //     node re-measures nothing, and duplicate completions dedupe on the
 //     coordinator (first answer wins, the rest are counted and dropped).
-//   - Incumbent bounds are shared asynchronously mid-sweep using the
-//     monotone CAS-max protocol (rooftune.SharedBound), which is
-//     order-insensitive — late, duplicate or reordered pushes are
-//     harmless by construction.
+//   - A node's incumbent travels whole in its spec (the seed value its
+//     dependency's winner supplied) and is part of the node
+//     fingerprint, so every attempt at a node prunes against the same
+//     bound.
 //   - When no live worker remains, nodes fall back to local execution
 //     (rooftune.ErrExecLocal), so a coordinator with a dead fleet
 //     degrades to exactly the single-process daemon.

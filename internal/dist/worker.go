@@ -36,12 +36,10 @@ type WorkerConfig struct {
 }
 
 // runningNode is one node currently executing: duplicate dispatches of
-// the same fingerprint join it instead of re-measuring, and bound
-// pushes land on its shared incumbent. out/status are written before
-// done is closed and read only after it — the close is the
-// happens-before edge, no lock needed.
+// the same fingerprint join it instead of re-measuring. out/status are
+// written before done is closed and read only after it — the close is
+// the happens-before edge, no lock needed.
 type runningNode struct {
-	bound  *rooftune.SharedBound
 	done   chan struct{}
 	out    []byte
 	status int
@@ -70,11 +68,10 @@ type Worker struct {
 	// the same LRU implementation the serving tier caches Results in.
 	done *cache.Cache
 
-	metrics      *metrics.Set
-	nodesRun     atomic.Uint64
-	dedupeHits   atomic.Uint64
-	boundApplied atomic.Uint64
-	nodeSeconds  *metrics.Histogram
+	metrics     *metrics.Set
+	nodesRun    atomic.Uint64
+	dedupeHits  atomic.Uint64
+	nodeSeconds *metrics.Histogram
 }
 
 // NewWorker builds a worker bound to base: cancel base on shutdown and
@@ -102,9 +99,6 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 	w.metrics.CounterFunc("roofdist_worker_dedupe_hits_total", "",
 		"Dispatches answered by joining a running node or the completed-node cache.",
 		w.dedupeHits.Load)
-	w.metrics.CounterFunc("roofdist_worker_bound_updates_total", "",
-		"Incumbent bounds applied to running nodes.",
-		w.boundApplied.Load)
 	w.metrics.GaugeFunc("roofdist_worker_running", "",
 		"Nodes currently executing.",
 		func() float64 { return float64(w.runningCount()) })
@@ -122,7 +116,6 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(distv1.PathRun, w.handleRun)
-	mux.HandleFunc(distv1.PathBound, w.handleBound)
 	mux.HandleFunc(distv1.PathHealth, w.handleHealth)
 	mux.Handle("/metrics", w.metrics)
 	return mux
@@ -134,7 +127,7 @@ func (w *Worker) runningCount() int {
 	return len(w.running)
 }
 
-// maxBodyBytes caps a request body on the worker's POST routes. A node
+// maxBodyBytes caps a request body on the worker's POST route. A node
 // spec carries one campaign of a few hundred bytes; the cap keeps a
 // client from making the worker buffer an unbounded body.
 const maxBodyBytes = 1 << 20
@@ -233,7 +226,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rn := &runningNode{bound: rooftune.NewSharedBound(), done: make(chan struct{})}
+	rn := &runningNode{done: make(chan struct{})}
 	w.running[want] = rn
 	w.mu.Unlock()
 
@@ -247,11 +240,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 // transient) before the fingerprint leaves running, done closed last so
 // joiners observe a fully-written result.
 func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.NodeSpec, fp string) {
-	if spec.SeedValue > 0 {
-		rn.bound.Offer(spec.SeedValue)
-	}
 	start := time.Now()
-	out, err := sess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
+	out, err := sess.RunNode(w.base, spec.NodeID, spec.SeedValue)
 	w.nodeSeconds.Observe(time.Since(start).Seconds())
 
 	var body []byte
@@ -279,32 +269,6 @@ func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.No
 	delete(w.running, fp)
 	w.mu.Unlock()
 	close(rn.done)
-}
-
-// handleBound applies a pushed incumbent bound (POST /dist/v1/bound) to
-// the running node it addresses. Applied=false means the node is not
-// running here — already completed, not yet dispatched, or evicted —
-// which is never an error: the protocol is monotone and a missed push
-// costs pruning opportunity only.
-func (w *Worker) handleBound(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, distv1.CodeBadRequest, "POST only")
-		return
-	}
-	upd, err := distv1.ParseBoundUpdate(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadRequest, "%v", err)
-		return
-	}
-	w.mu.Lock()
-	rn, ok := w.running[upd.Fingerprint]
-	w.mu.Unlock()
-	if ok {
-		rn.bound.Offer(upd.Value)
-		w.boundApplied.Add(1)
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(distv1.BoundAck{Applied: ok})
 }
 
 // handleHealth is the enrollment heartbeat (GET /dist/v1/healthz).

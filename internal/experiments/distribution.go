@@ -44,7 +44,7 @@ func (r *Runner) DistributionStudy() ([]DistributionRow, error) {
 		eval := bench.NewEvaluator(eng.Clock, bench.DefaultBudget())
 		eval.Sampler = trace
 		c := eng.DGEMMCase(opt.S1.N, opt.S1.M, opt.S1.K, 1)
-		if _, err := eval.Evaluate(context.Background(), c, bench.None); err != nil {
+		if _, err := eval.Evaluate(context.Background(), c, bench.NoBest); err != nil {
 			return nil, fmt.Errorf("experiments: distribution study %s: %w", sys.Name, err)
 		}
 		pts := trace.Trace(c.Key())

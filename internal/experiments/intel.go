@@ -36,7 +36,7 @@ func (r *Runner) RunIntelComparison(gold6132 *DGEMMRun) (*IntelComparison, error
 	silver := hw.Silver4110
 	eng := bench.NewSimEngine(silver, r.Seed)
 	eval := bench.NewEvaluator(eng.Clock, bench.DefaultBudget())
-	o, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 1000, 1000, silver.Sockets), bench.None)
+	o, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 1000, 1000, silver.Sockets), bench.NoBest)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Silver 4110 square run: %w", err)
 	}
@@ -50,7 +50,7 @@ func (r *Runner) RunIntelComparison(gold6132 *DGEMMRun) (*IntelComparison, error
 	g := gold6132.System
 	eng2 := bench.NewSimEngine(g, r.Seed)
 	eval2 := bench.NewEvaluator(eng2.Clock, bench.DefaultBudget())
-	o2, err := eval2.Evaluate(context.Background(), eng2.DGEMMCase(1000, 1000, 1000, g.Sockets), bench.None)
+	o2, err := eval2.Evaluate(context.Background(), eng2.DGEMMCase(1000, 1000, 1000, g.Sockets), bench.NoBest)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Gold 6132 square run: %w", err)
 	}

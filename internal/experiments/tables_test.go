@@ -94,7 +94,7 @@ func TestBestDimsParsing(t *testing.T) {
 	eng := bench.NewSimEngine(sys, r.Seed)
 	// Construct a result by evaluating one case.
 	eval := bench.NewEvaluator(eng.Clock, bench.Budget{Invocations: 1, MaxIterations: 2})
-	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 4096, 128, 1), bench.None)
+	out, err := eval.Evaluate(context.Background(), eng.DGEMMCase(1000, 4096, 128, 1), bench.NoBest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func TestLoadTypeChecksWithTests(t *testing.T) {
 	if pkg.Types.Scope().Lookup("Config") == nil {
 		t.Error("bench.Config not found in type-checked scope")
 	}
-	if obj := pkg.Types.Scope().Lookup("NewAtomicIncumbent"); obj == nil {
-		t.Error("bench.NewAtomicIncumbent not found")
+	if obj := pkg.Types.Scope().Lookup("NewEvaluator"); obj == nil {
+		t.Error("bench.NewEvaluator not found")
 	}
 }
 

@@ -165,11 +165,6 @@ func (r *Runner) workerCount() int {
 type seed struct {
 	from  string  // plan-graph ID of the sweep whose winner is the bound
 	value float64 // bound in metric base units (0 = none)
-	// shared, when non-nil, is an externally owned monotone incumbent
-	// wired into the node's tuner (core.Tuner.Shared) so bounds pushed
-	// mid-sweep — the distributed tier's async incumbent sharing —
-	// reach a running search.
-	shared *bench.AtomicIncumbent
 }
 
 // execOne runs one plan node through the Runner's external executor,
@@ -205,10 +200,10 @@ func (r *Runner) execOne(ctx context.Context, n Node, sd seed) (Outcome, error) 
 // same incumbent pre-seed, the same hooks. It is the worker
 // side of the distributed tier — the coordinator honors the graph's
 // seed edges and dispatches one node at a time; the worker replays just
-// that node. shared, when non-nil, additionally wires an externally
-// owned monotone incumbent into the search so bounds pushed mid-sweep
-// reach it (see core.Tuner.Shared).
-func (r *Runner) RunNode(ctx context.Context, nodes []Node, id string, seedValue float64, shared *bench.AtomicIncumbent) (Outcome, error) {
+// that node. seedValue pre-seeds the node's incumbent (0: unseeded);
+// from there the search carries its incumbent as serial state, as in a
+// local run.
+func (r *Runner) RunNode(ctx context.Context, nodes []Node, id string, seedValue float64) (Outcome, error) {
 	if err := ValidatePlan(nodes); err != nil {
 		return Outcome{}, err
 	}
@@ -222,7 +217,7 @@ func (r *Runner) RunNode(ctx context.Context, nodes []Node, id string, seedValue
 		return Outcome{}, fmt.Errorf("sweep: plan has no node %q", id)
 	}
 	n := nodes[target]
-	sd := seed{value: seedValue, shared: shared}
+	sd := seed{value: seedValue}
 	if seedValue > 0 {
 		// Provenance mirrors RunPlan: SeededFrom is recorded only when a
 		// seed was actually applied (a dependency that finished with a
@@ -246,7 +241,6 @@ func (r *Runner) runOne(ctx context.Context, s Spec, sd seed) (Outcome, error) {
 	}
 	tuner := core.NewTuner(s.Clock, r.Budget, core.OrderForward)
 	tuner.Incumbent = sd.value
-	tuner.Shared = sd.shared
 	if r.Hooks.CaseEvaluated != nil {
 		tuner.OnOutcome = func(out *bench.Outcome) { r.Hooks.CaseEvaluated(s.Name, out) }
 	}
