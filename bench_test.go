@@ -23,6 +23,7 @@ import (
 	"rooftune/internal/core"
 	"rooftune/internal/experiments"
 	"rooftune/internal/hw"
+	"rooftune/internal/parallel"
 	"rooftune/internal/stats"
 	"rooftune/internal/stream"
 	"rooftune/internal/units"
@@ -460,9 +461,11 @@ func BenchmarkNativeKernels(b *testing.B) {
 	})
 	b.Run("triad-8MiB", func(b *testing.B) {
 		v := stream.NewVectors(8 << 20 / 24)
+		pool := parallel.NewPool(parallel.DefaultThreads())
+		defer pool.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Run(stream.Triad, 0)
+			v.RunPool(stream.Triad, pool)
 		}
 		bytes := units.TriadBytes(v.N())
 		b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")

@@ -195,7 +195,9 @@ func parse(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	// More reports false before a '}' or ']', so only a Token that hits
+	// the end of input proves nothing follows the object.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after the object")
 	}
 	return nil

@@ -20,7 +20,7 @@ const fingerprintSchema = "rooftune-fingerprint-v2"
 // a canonical rendering of everything that determines its Result —
 // engine and system identity, seed, the full evaluation budget, the
 // chaining mode and the resolved plan graph down to every planned case's
-// typed configuration (bench.ConfigCanonical).
+// typed configuration (bench.AppendConfigCanonical).
 // Two sessions with equal fingerprints produce byte-identical Results on
 // simulated targets, which is what lets a serving tier memoize outcomes:
 // a cache keyed on the fingerprint returns a stored Result only to

@@ -64,13 +64,9 @@ func (e *SimEngine) Stencil() *simstencil.Model {
 	return e.stencil
 }
 
-// SimEngineName is the report name of a simulated engine for the system.
-// It is the single owner of the "sim:" format; callers that never hold an
-// engine (the sweep planner builds one per sweep) use it directly.
+// SimEngineName is the report name of a simulated engine for the system,
+// the single owner of the "sim:" format.
 func SimEngineName(sys hw.System) string { return "sim:" + sys.Name }
-
-// Name identifies the engine in reports.
-func (e *SimEngine) Name() string { return SimEngineName(e.Sys) }
 
 // DGEMMCase returns the benchmark case for one matrix-dimension
 // configuration on the given socket count.

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,33 +11,10 @@ import (
 	"rooftune/internal/vclock"
 )
 
-func TestCSVSampler(t *testing.T) {
-	var sb strings.Builder
-	s := NewCSVSampler(&sb)
-	s.Sample("k1", 0, 0, 1500*time.Microsecond, 2.5e11)
-	s.Sample("k1", 0, 1, 1400*time.Microsecond, 2.6e11)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("rows: %d\n%s", len(lines), out)
-	}
-	if lines[0] != "key,invocation,iteration,elapsed_ns,metric" {
-		t.Fatalf("header: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "k1,0,0,1500000,") {
-		t.Fatalf("row 1: %q", lines[1])
-	}
-}
-
-func TestCSVSamplerConcurrent(t *testing.T) {
-	// Concurrent sweeps reach one sampler at once (directly or through
-	// MultiSampler); every emitted row must stay intact — interleaving is
-	// allowed only at row granularity. Run under -race in CI.
-	var sb strings.Builder
-	s := NewCSVSampler(&sb)
+func TestTraceBufferConcurrent(t *testing.T) {
+	// Concurrent sweeps reach one buffer at once; every sample must land
+	// in its key's trace, in each writer's order. Run under -race in CI.
+	b := NewTraceBuffer()
 	const workers, rows = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -48,49 +23,35 @@ func TestCSVSamplerConcurrent(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", w)
 			for i := 0; i < rows; i++ {
-				s.Sample(key, 0, i, time.Millisecond, 1e9)
+				b.Sample(key, 0, i, time.Millisecond, 1e9)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("concurrent writes corrupted the CSV stream: %v", err)
-	}
-	if len(recs) != workers*rows+1 {
-		t.Fatalf("rows: %d, want %d plus header", len(recs)-1, workers*rows)
-	}
-	perKey := map[string]int{}
-	for _, rec := range recs[1:] {
-		if len(rec) != 5 {
-			t.Fatalf("malformed row: %v", rec)
-		}
-		perKey[rec[0]]++
-	}
 	for w := 0; w < workers; w++ {
-		if got := perKey[fmt.Sprintf("k%d", w)]; got != rows {
-			t.Fatalf("worker %d: %d rows, want %d", w, got, rows)
+		tr := b.Trace(fmt.Sprintf("k%d", w))
+		if len(tr) != rows {
+			t.Fatalf("worker %d: %d points, want %d", w, len(tr), rows)
+		}
+		for i, p := range tr {
+			if p.Iteration != i {
+				t.Fatalf("worker %d: point %d has iteration %d", w, i, p.Iteration)
+			}
 		}
 	}
 }
 
 func TestTraceBuffer(t *testing.T) {
-	b := NewTraceBuffer(0)
+	b := NewTraceBuffer()
 	b.Sample("a", 0, 0, time.Millisecond, 1)
 	b.Sample("a", 0, 1, time.Millisecond, 2)
 	b.Sample("b", 1, 0, time.Millisecond, 3)
-	if b.Len("a") != 2 || b.Len("b") != 1 {
-		t.Fatalf("lens: %d %d", b.Len("a"), b.Len("b"))
+	if len(b.Trace("a")) != 2 || len(b.Trace("b")) != 1 || b.Trace("c") != nil {
+		t.Fatalf("lens: %d %d %d", len(b.Trace("a")), len(b.Trace("b")), len(b.Trace("c")))
 	}
 	tr := b.Trace("a")
 	if tr[1].Metric != 2 || tr[1].Iteration != 1 {
 		t.Fatalf("trace: %+v", tr)
-	}
-	if len(b.Keys()) != 2 {
-		t.Fatalf("keys: %v", b.Keys())
 	}
 	// Returned slices are copies.
 	tr[0].Metric = 99
@@ -99,23 +60,9 @@ func TestTraceBuffer(t *testing.T) {
 	}
 }
 
-func TestTraceBufferCap(t *testing.T) {
-	b := NewTraceBuffer(3)
-	for i := 0; i < 10; i++ {
-		b.Sample("k", 0, i, time.Millisecond, float64(i))
-	}
-	if b.Len("k") != 3 {
-		t.Fatalf("cap not enforced: %d", b.Len("k"))
-	}
-	// The earliest points (the ramp) are the ones retained.
-	if b.Trace("k")[0].Metric != 0 {
-		t.Fatal("cap must keep the oldest points")
-	}
-}
-
 func TestEvaluatorSamplerWiring(t *testing.T) {
 	clock := vclock.NewVirtual()
-	buf := NewTraceBuffer(0)
+	buf := NewTraceBuffer()
 	b := DefaultBudget()
 	b.Invocations = 2
 	b.MaxIterations = 5
@@ -125,24 +72,15 @@ func TestEvaluatorSamplerWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len(out.Key) != out.TotalSamples {
-		t.Fatalf("sampler saw %d of %d samples", buf.Len(out.Key), out.TotalSamples)
-	}
 	tr := buf.Trace(out.Key)
+	if len(tr) != out.TotalSamples {
+		t.Fatalf("sampler saw %d of %d samples", len(tr), out.TotalSamples)
+	}
 	if tr[0].Invocation != 0 || tr[len(tr)-1].Invocation != 1 {
 		t.Fatal("invocation indices wrong")
 	}
 	if tr[0].String() == "" {
 		t.Fatal("TracePoint.String")
-	}
-}
-
-func TestMultiSampler(t *testing.T) {
-	a, b := NewTraceBuffer(0), NewTraceBuffer(0)
-	m := MultiSampler{a, b}
-	m.Sample("k", 0, 0, time.Millisecond, 1)
-	if a.Len("k") != 1 || b.Len("k") != 1 {
-		t.Fatal("fan-out broken")
 	}
 }
 

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -22,22 +19,16 @@ import (
 // asserts the census here tracks configsum.Variants, so a new variant
 // without wire support fails the build and the tests, never a daemon.
 
-// ConfigCanonical renders a configuration's typed identity as a
-// canonical string: the variant name followed by every field in its
-// declared order. Two configurations render equal strings iff they are
-// equal values of the same variant — the property that makes the string
-// (and its digest) a sound content address. The rendering is part of
-// the wire contract: changing it invalidates every persisted cache
-// entry keyed on ConfigDigest.
-func ConfigCanonical(c Config) (string, error) {
-	b, err := AppendConfigCanonical(nil, c)
-	return string(b), err
-}
-
-// AppendConfigCanonical appends c's ConfigCanonical rendering to dst and
-// returns the extended buffer. Hot paths that render every planned case
-// (the session fingerprint) append into one reused buffer instead of
-// allocating a string per case. On error dst is returned unchanged.
+// AppendConfigCanonical appends the canonical rendering of a
+// configuration's typed identity to dst and returns the extended buffer:
+// the variant name followed by every field in its declared order. Two
+// configurations render equal strings iff they are equal values of the
+// same variant — the property that makes the string a sound content
+// address. The rendering is part of the wire contract: the session
+// fingerprint hashes it, so changing it invalidates every persisted
+// cache entry. Hot paths that render every planned case append into one
+// reused buffer instead of allocating a string per case. On error dst is
+// returned unchanged.
 func AppendConfigCanonical(dst []byte, c Config) ([]byte, error) {
 	switch cfg := c.(type) {
 	case DGEMMConfig:
@@ -73,9 +64,9 @@ func AppendConfigCanonical(dst []byte, c Config) ([]byte, error) {
 		dst = strconv.AppendInt(dst, int64(cfg.TileY), 10)
 		dst = appendPlacement(dst, cfg.Sockets, cfg.Threads)
 	case nil:
-		return dst, fmt.Errorf("bench: ConfigCanonical(nil)")
+		return dst, fmt.Errorf("bench: AppendConfigCanonical(nil)")
 	default:
-		return dst, fmt.Errorf("bench: ConfigCanonical: unsupported config variant %T", c)
+		return dst, fmt.Errorf("bench: AppendConfigCanonical: unsupported config variant %T", c)
 	}
 	return dst, nil
 }
@@ -88,20 +79,6 @@ func appendPlacement(dst []byte, sockets, threads int) []byte {
 	dst = append(dst, ",threads="...)
 	dst = strconv.AppendInt(dst, int64(threads), 10)
 	return append(dst, '}')
-}
-
-// ConfigDigest returns the canonical content digest of a configuration:
-// the hex SHA-256 of its ConfigCanonical rendering. The serving tier
-// composes these per-case digests (with system, space and engine
-// identity) into its cache key, so a million identical tuning requests
-// cost one measurement.
-func ConfigDigest(c Config) (string, error) {
-	s, err := ConfigCanonical(c)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // Canonical renders the budget with every field in declared order — the
@@ -246,18 +223,6 @@ var configDecoders = map[string]func(json.RawMessage) (Config, error){
 		}
 		return StencilConfig{NX: w.NX, NY: w.NY, TileX: w.TileX, TileY: w.TileY, Sockets: w.Sockets, Threads: w.Threads}, nil
 	},
-}
-
-// WireVariants returns the sorted variant names the wire layer can
-// decode — the census the exhaustiveness test compares against
-// configsum.Variants.
-func WireVariants() []string {
-	names := make([]string, 0, len(configDecoders))
-	for name := range configDecoders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // UnmarshalConfig decodes a configuration envelope. An empty envelope

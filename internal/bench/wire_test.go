@@ -42,29 +42,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConfigDigestStable(t *testing.T) {
-	for name, cfg := range wireConfigs {
-		t.Run(name, func(t *testing.T) {
-			d1, err := ConfigDigest(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, err := ConfigDigest(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d1 != d2 {
-				t.Fatalf("digest not deterministic: %s vs %s", d1, d2)
-			}
-			if len(d1) != 64 {
-				t.Fatalf("digest %q is not hex SHA-256", d1)
-			}
-		})
-	}
-}
-
 // TestConfigCanonicalRendering pins the canonical text of every variant:
-// session fingerprints and config digests hash it, so a byte that moves
+// session fingerprints hash it, so a byte that moves
 // re-keys every stored cache entry. Negative and zero fields and both
 // affinities are covered because the renderer appends integers itself.
 func TestConfigCanonicalRendering(t *testing.T) {
@@ -80,13 +59,6 @@ func TestConfigCanonicalRendering(t *testing.T) {
 		{TriadConfig{Elements: 7, Affinity: hw.AffinityClose, Sockets: 1}, "TriadConfig{elements=7,affinity=close,sockets=1,threads=0}"},
 	}
 	for _, c := range cases {
-		got, err := ConfigCanonical(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("ConfigCanonical(%#v) = %q, want %q", c.cfg, got, c.want)
-		}
 		// Appending extends the caller's buffer in place.
 		buf, err := AppendConfigCanonical([]byte("case="), c.cfg)
 		if err != nil {
@@ -102,10 +74,10 @@ func TestConfigCanonicalRendering(t *testing.T) {
 	}
 }
 
-// TestConfigDigestDistinguishes checks the content-address property on
-// the mutations that matter: a changed field value and a different
-// variant with coincidentally similar fields must digest differently.
-func TestConfigDigestDistinguishes(t *testing.T) {
+// TestConfigCanonicalDistinguishes checks the content-address property
+// on the mutations that matter: a changed field value and a different
+// variant with coincidentally similar fields must render differently.
+func TestConfigCanonicalDistinguishes(t *testing.T) {
 	base := DGEMMConfig{N: 1000, M: 4096, K: 128, Sockets: 1}
 	mutants := []Config{
 		DGEMMConfig{N: 1001, M: 4096, K: 128, Sockets: 1},
@@ -113,17 +85,17 @@ func TestConfigDigestDistinguishes(t *testing.T) {
 		DGEMMConfig{N: 1000, M: 4096, K: 128, Sockets: 1, Threads: 1},
 		TriadConfig{Elements: 1000, Sockets: 1},
 	}
-	baseDigest, err := ConfigDigest(base)
+	baseText, err := AppendConfigCanonical(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range mutants {
-		d, err := ConfigDigest(m)
+		text, err := AppendConfigCanonical(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d == baseDigest {
-			t.Fatalf("%#v digests equal to %#v", m, base)
+		if string(text) == string(baseText) {
+			t.Fatalf("%#v renders equal to %#v", m, base)
 		}
 	}
 }
@@ -138,16 +110,16 @@ func TestConfigWireRejectsUnknownVariant(t *testing.T) {
 	if _, err := MarshalConfig(fake{}); err == nil {
 		t.Fatal("unknown variant must fail encoding")
 	}
-	if _, err := ConfigDigest(fake{}); err == nil {
-		t.Fatal("unknown variant must fail digesting")
+	if _, err := AppendConfigCanonical(nil, fake{}); err == nil {
+		t.Fatal("unknown variant must fail rendering")
 	}
 }
 
-// TestWireVariantsExhaustive is the digest/serialization analogue of the
-// root config round-trip test: it takes the bench.Config variant census
-// from the configsum analyzer (the same census rooflint enforces
+// TestWireVariantsExhaustive is the rendering/serialization analogue of
+// the root config round-trip test: it takes the bench.Config variant
+// census from the configsum analyzer (the same census rooflint enforces
 // tree-wide) and asserts the wire layer — decoder table, canonical
-// digest and the representative table above — covers every variant. A
+// rendering and the representative table above — covers every variant. A
 // fifth variant added without wire support fails here, not in a
 // daemon's cache layer.
 func TestWireVariantsExhaustive(t *testing.T) {
@@ -162,23 +134,19 @@ func TestWireVariantsExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodable := map[string]bool{}
-	for _, name := range WireVariants() {
-		decodable[name] = true
-	}
 	for _, name := range variants {
-		if !decodable[name] {
-			t.Errorf("bench.Config variant %s has no wire decoder: add it to configDecoders, MarshalConfig and ConfigCanonical", name)
+		if _, ok := configDecoders[name]; !ok {
+			t.Errorf("bench.Config variant %s has no wire decoder: add it to configDecoders, MarshalConfig and AppendConfigCanonical", name)
 		}
 		if _, ok := wireConfigs[name]; !ok {
-			t.Errorf("bench.Config variant %s has no representative in wireConfigs: digest and round-trip coverage is incomplete", name)
+			t.Errorf("bench.Config variant %s has no representative in wireConfigs: rendering and round-trip coverage is incomplete", name)
 		}
 	}
 	declared := map[string]bool{}
 	for _, name := range variants {
 		declared[name] = true
 	}
-	for _, name := range WireVariants() {
+	for name := range configDecoders {
 		if !declared[name] {
 			t.Errorf("wire decoder covers %s, which internal/bench no longer declares", name)
 		}
@@ -246,18 +214,20 @@ func TestOutcomeJSONWithoutConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkDigest measures the content-address computation over every
-// Config variant — the per-request fingerprint cost the serving tier
-// pays before it can consult its cache.
-func BenchmarkDigest(b *testing.B) {
+// BenchmarkConfigCanonical measures the content-address rendering over
+// every Config variant into one reused buffer — the per-case cost the
+// session fingerprint pays before the serving tier can consult its cache.
+func BenchmarkConfigCanonical(b *testing.B) {
 	configs := make([]Config, 0, len(wireConfigs))
 	for _, c := range wireConfigs {
 		configs = append(configs, c)
 	}
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range configs {
-			if _, err := ConfigDigest(c); err != nil {
+			var err error
+			if buf, err = AppendConfigCanonical(buf[:0], c); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -145,37 +145,6 @@ func macroKernel(alpha float64, pa, pb []float64, c *Matrix, i0, j0, ib, jb, kb 
 	}
 }
 
-// DGEMMNaive is the triple-loop reference implementation, the oracle the
-// test suite checks the blocked kernel against. It is deliberately simple
-// and single-threaded.
-func DGEMMNaive(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	checkShapes(a, b, c)
-	n, m, k := a.Rows, b.Cols, a.Cols
-	for i := 0; i < n; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+m]
-		if beta == 0 {
-			for j := range crow {
-				crow[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range crow {
-				crow[j] *= beta
-			}
-		}
-		arow := a.Data[i*a.Stride : i*a.Stride+k]
-		for p := 0; p < k; p++ {
-			s := alpha * arow[p]
-			if s == 0 {
-				continue
-			}
-			brow := b.Data[p*b.Stride : p*b.Stride+m]
-			for j, bv := range brow {
-				crow[j] += s * bv
-			}
-		}
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,11 +9,83 @@ import (
 	"rooftune/internal/xrand"
 )
 
+// DGEMMNaive is the triple-loop reference implementation, the oracle the
+// tests check the blocked kernel against. It is deliberately simple
+// and single-threaded.
+func DGEMMNaive(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
+	checkShapes(a, b, c)
+	n, m, k := a.Rows, b.Cols, a.Cols
+	for i := 0; i < n; i++ {
+		crow := c.Data[i*c.Stride : i*c.Stride+m]
+		if beta == 0 {
+			for j := range crow {
+				crow[j] = 0
+			}
+		} else if beta != 1 {
+			for j := range crow {
+				crow[j] *= beta
+			}
+		}
+		arow := a.Data[i*a.Stride : i*a.Stride+k]
+		for p := 0; p < k; p++ {
+			s := alpha * arow[p]
+			if s == 0 {
+				continue
+			}
+			brow := b.Data[p*b.Stride : p*b.Stride+m]
+			for j, bv := range brow {
+				crow[j] += s * bv
+			}
+		}
+	}
+}
+
+// MaxAbsDiff returns the largest absolute elementwise difference between
+// two equally-shaped matrices; it panics on shape mismatch.
+func MaxAbsDiff(a, b *Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(fmt.Sprintf("blas: MaxAbsDiff shape mismatch %dx%d vs %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	var worst float64
+	for i := 0; i < a.Rows; i++ {
+		ra := a.Data[i*a.Stride : i*a.Stride+a.Cols]
+		rb := b.Data[i*b.Stride : i*b.Stride+b.Cols]
+		for j := range ra {
+			d := ra[j] - rb[j]
+			if d < 0 {
+				d = -d
+			}
+			if d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst
+}
+
+// fill sets every element of a Stride == Cols matrix to v.
+func fill(m *Matrix, v float64) *Matrix {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
+
+func clone(m *Matrix) *Matrix {
+	c := *m
+	c.Data = append([]float64(nil), m.Data...)
+	return &c
+}
+
+// randomMatrix pads each row with extraStride unused elements, so the
+// kernels see a leading dimension larger than the column count.
 func randomMatrix(rng *xrand.Rand, rows, cols, extraStride int) *Matrix {
-	m := NewMatrixStrided(rows, cols, cols+extraStride)
+	stride := cols + extraStride
+	m := &Matrix{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, rows*stride)}
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			m.Set(i, j, rng.Normal())
+			m.Data[i*stride+j] = rng.Normal()
 		}
 	}
 	return m
@@ -47,7 +120,7 @@ func TestDGEMMMatchesNaive(t *testing.T) {
 		a := randomMatrix(rng, n, k, int(strideA%5))
 		b := randomMatrix(rng, k, m, int(strideB%5))
 		c0 := randomMatrix(rng, n, m, 0)
-		c1 := c0.Clone()
+		c1 := clone(c0)
 		DGEMMNaive(alpha, a, b, beta, c0)
 		DGEMM(alpha, a, b, beta, c1, 3)
 		return MaxAbsDiff(c0, c1) < 1e-10*float64(k+1)
@@ -91,9 +164,8 @@ func TestDGEMMBetaSemantics(t *testing.T) {
 	}
 
 	// beta=1 accumulates.
-	c1 := NewMatrix(8, 8)
-	c1.Fill(2)
-	c2 := c1.Clone()
+	c1 := fill(NewMatrix(8, 8), 2)
+	c2 := clone(c1)
 	DGEMM(1, a, b, 1, c1, 2)
 	DGEMMNaive(1, a, b, 1, c2)
 	if d := MaxAbsDiff(c1, c2); d > 1e-12 {
@@ -102,12 +174,9 @@ func TestDGEMMBetaSemantics(t *testing.T) {
 }
 
 func TestDGEMMAlphaZeroScalesOnly(t *testing.T) {
-	a := NewMatrix(4, 4)
-	a.Fill(math.Inf(1)) // must never be touched when alpha == 0
-	b := NewMatrix(4, 4)
-	b.Fill(1)
-	c := NewMatrix(4, 4)
-	c.Fill(3)
+	a := fill(NewMatrix(4, 4), math.Inf(1)) // must never be touched when alpha == 0
+	b := fill(NewMatrix(4, 4), 1)
+	c := fill(NewMatrix(4, 4), 3)
 	DGEMM(0, a, b, 0.5, c, 1)
 	for i, v := range c.Data {
 		if v != 1.5 {
@@ -141,40 +210,6 @@ func TestDGEMMThreadCountIrrelevantToResult(t *testing.T) {
 			t.Fatalf("threads=%d changed the result by %v", threads, d)
 		}
 	}
-}
-
-func TestMatrixHelpers(t *testing.T) {
-	m := NewMatrix(3, 4)
-	m.Set(1, 2, 7)
-	if m.At(1, 2) != 7 {
-		t.Fatal("Set/At")
-	}
-	m.FillPattern(1)
-	c := m.Clone()
-	if MaxAbsDiff(m, c) != 0 {
-		t.Fatal("Clone differs")
-	}
-	c.Set(0, 0, 99)
-	if m.At(0, 0) == 99 {
-		t.Fatal("Clone must be deep")
-	}
-	m.Fill(0.5)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			if m.At(i, j) != 0.5 {
-				t.Fatal("Fill")
-			}
-		}
-	}
-}
-
-func TestMatrixStridePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stride < cols must panic")
-		}
-	}()
-	NewMatrixStrided(2, 4, 3)
 }
 
 func TestMaxAbsDiffShapePanic(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package blas is the native compute substrate: a pure-Go, cache-blocked,
-// goroutine-parallel double-precision GEMM together with a naive reference
-// implementation used as a correctness oracle. It plays the role the vendor
-// BLAS (MKL/OpenBLAS) plays in the paper: the kernel whose performance the
+// goroutine-parallel double-precision GEMM, which its tests check against
+// a naive reference implementation. It plays the role the vendor BLAS
+// (MKL/OpenBLAS) plays in the paper: the kernel whose performance the
 // autotuner measures when rooftune runs against real hardware.
 package blas
 
@@ -26,30 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixStrided allocates a matrix with an explicit leading dimension.
-func NewMatrixStrided(rows, cols, stride int) *Matrix {
-	if stride < cols {
-		panic(fmt.Sprintf("blas: stride %d < cols %d", stride, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, rows*stride)}
-}
-
-// At returns element (i, j) without bounds checking beyond the slice's own.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
-
-// Set stores v at element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
-
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for j := range row {
-			row[j] = v
-		}
-	}
-}
-
 // FillPattern initialises the matrix with a cheap deterministic pattern,
 // matching the paper's "test matrix initialization" stage. The pattern
 // avoids denormals and keeps values O(1) so accumulation error stays small.
@@ -61,36 +37,4 @@ func (m *Matrix) FillPattern(seed float64) {
 			row[j] = base + float64(j%7)*0.0625
 		}
 	}
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride,
-		Data: make([]float64, len(m.Data))}
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between
-// two equally-shaped matrices; it panics on shape mismatch.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("blas: MaxAbsDiff shape mismatch %dx%d vs %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	var worst float64
-	for i := 0; i < a.Rows; i++ {
-		ra := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		rb := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-		for j := range ra {
-			d := ra[j] - rb[j]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }

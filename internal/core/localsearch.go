@@ -66,15 +66,6 @@ func (g GridNeighborhood) index(coords []int) int {
 	return i
 }
 
-// Size returns the number of grid points.
-func (g GridNeighborhood) Size() int {
-	n := 1
-	for _, s := range g.AxisSizes {
-		n *= s
-	}
-	return n
-}
-
 // UnionSpaceNeighborhood returns the adjacency of UnionDGEMMSpace's
 // 8 x 8 x 6 grid.
 func UnionSpaceNeighborhood() GridNeighborhood {

@@ -10,6 +10,15 @@ import (
 	"rooftune/internal/vclock"
 )
 
+// Size returns the number of grid points.
+func (g GridNeighborhood) Size() int {
+	n := 1
+	for _, s := range g.AxisSizes {
+		n *= s
+	}
+	return n
+}
+
 func TestGridNeighborhoodShape(t *testing.T) {
 	g := GridNeighborhood{AxisSizes: []int{3, 4, 5}}
 	if g.Size() != 60 {

@@ -69,15 +69,6 @@ func ReducedDGEMMSpace() []Dims {
 	return cross(pow2Range(512, 4096), pow2Range(512, 4096), pow2Range(64, 2048))
 }
 
-// Mult2Values are the leading dimensions adjusted per Intel's guideline to
-// multiples of 2 instead of powers of 2 (§IV-A): 500, 1000, 2000, 4000.
-func Mult2Values() []int { return []int{500, 1000, 2000, 4000} }
-
-// Mult2DGEMMSpace uses only the Intel-guideline multiples for n and m.
-func Mult2DGEMMSpace() []Dims {
-	return cross(Mult2Values(), Mult2Values(), pow2Range(64, 2048))
-}
-
 // UnionDGEMMSpace is the space the paper's own Table V results imply: its
 // optima mix powers of two (512, 1024, 2048, 4096) with the Intel
 // multiples (500, 1000, 2000, 4000) in the same configuration, so the

@@ -30,19 +30,6 @@ func TestReducedSpaceCardinality(t *testing.T) {
 	}
 }
 
-func TestMult2Space(t *testing.T) {
-	s := Mult2DGEMMSpace()
-	if len(s) != 4*4*6 {
-		t.Fatalf("mult2 space |S| = %d", len(s))
-	}
-	want := map[int]bool{500: true, 1000: true, 2000: true, 4000: true}
-	for _, d := range s {
-		if !want[d.N] || !want[d.M] {
-			t.Fatalf("mult2 space has non-guideline value: %v", d)
-		}
-	}
-}
-
 func TestUnionSpaceCardinalityAndContents(t *testing.T) {
 	s := UnionDGEMMSpace()
 	if len(s) != 8*8*6 {

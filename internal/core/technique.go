@@ -31,19 +31,6 @@ var HandTuned = map[string]HandTunedIters{
 	"Gold 6148": {Time: 30, Accuracy: 150},
 }
 
-// TechniqueNames lists the Tables VIII-XI rows in paper order.
-var TechniqueNames = []string{
-	"Default",
-	"Hand-tuned Time",
-	"Hand-tuned Accuracy",
-	"Single",
-	"Confidence",
-	"C+Inner",
-	"C+Inner+R",
-	"C+I+Outer",
-	"C+I+O+R",
-}
-
 // Techniques builds the full technique matrix for a system. minCount is
 // the stop-condition-4 lower bound (2 by default; the paper re-runs the
 // 2695v4 with 100). Hand-tuned techniques use Table VII's iteration

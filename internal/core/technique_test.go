@@ -6,13 +6,25 @@ import (
 )
 
 func TestTechniqueMatrix(t *testing.T) {
+	// The Tables VIII-XI rows in paper order.
+	names := []string{
+		"Default",
+		"Hand-tuned Time",
+		"Hand-tuned Accuracy",
+		"Single",
+		"Confidence",
+		"C+Inner",
+		"C+Inner+R",
+		"C+I+Outer",
+		"C+I+O+R",
+	}
 	techs := Techniques("2650v4", 2)
-	if len(techs) != len(TechniqueNames) {
+	if len(techs) != len(names) {
 		t.Fatalf("technique count %d", len(techs))
 	}
 	byName := map[string]Technique{}
 	for i, tech := range techs {
-		if tech.Name != TechniqueNames[i] {
+		if tech.Name != names[i] {
 			t.Fatalf("technique order: %q at %d", tech.Name, i)
 		}
 		byName[tech.Name] = tech

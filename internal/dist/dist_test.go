@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rooftune"
 	distv1 "rooftune/dist/v1"
+	"rooftune/internal/bench"
 	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/metrics"
+	"rooftune/internal/sweep"
+	"rooftune/internal/vclock"
 	servev1 "rooftune/serve/v1"
 )
 
@@ -32,10 +37,10 @@ const chainedCampaign = `{
 	"triadHiBytes": 268435456
 }`
 
-// resolve builds the chained campaign's session the way the daemon
-// does, returning the wire form beside it.
-func resolve() (servev1.Campaign, *rooftune.Session, error) {
-	camp, err := campaign.Parse(strings.NewReader(chainedCampaign))
+// resolve builds a campaign's session the way the daemon does,
+// returning the wire form beside it.
+func resolve(body string) (servev1.Campaign, *rooftune.Session, error) {
+	camp, err := campaign.Parse(strings.NewReader(body))
 	if err != nil {
 		return camp, nil, err
 	}
@@ -47,11 +52,11 @@ func resolve() (servev1.Campaign, *rooftune.Session, error) {
 	return camp, sess, err
 }
 
-// distRun runs the chained campaign through the coordinator exactly as
-// the daemon does on a cache miss: one session, its fingerprint as the
-// campaign address, every node offered to the coordinator's executor.
-func distRun(ctx context.Context, c *Coordinator) (*rooftune.Result, error) {
-	camp, sess, err := resolve()
+// distRun runs a campaign through the coordinator exactly as the daemon
+// does on a cache miss: one session, its fingerprint as the campaign
+// address, every node offered to the coordinator's executor.
+func distRun(ctx context.Context, c *Coordinator, body string) (*rooftune.Result, error) {
+	camp, sess, err := resolve(body)
 	if err != nil {
 		return nil, err
 	}
@@ -63,10 +68,10 @@ func distRun(ctx context.Context, c *Coordinator) (*rooftune.Result, error) {
 }
 
 // requireLocal fails the test unless res is byte-identical to the
-// chained campaign run in-process — same Summary, same everything.
-func requireLocal(t *testing.T, what string, res *rooftune.Result) {
+// campaign run in-process — same Summary, same everything.
+func requireLocal(t *testing.T, what, body string, res *rooftune.Result) {
 	t.Helper()
-	_, sess, err := resolve()
+	_, sess, err := resolve(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +137,11 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	w2 := startWorker(t, "w2", nil)
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	res, err := distRun(context.Background(), c)
+	res, err := distRun(context.Background(), c, chainedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLocal(t, "distributed run", res)
+	requireLocal(t, "distributed run", chainedCampaign, res)
 	if st := c.Stats(); st.Dispatched == 0 {
 		t.Fatal("nothing dispatched — the run did not go through the workers")
 	} else if st.LocalFallback != 0 {
@@ -192,11 +197,11 @@ func TestWorkerKillMidSweepRequeues(t *testing.T) {
 	w2 := startWorker(t, "w2", shim.wrap("w2"))
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	res, err := distRun(context.Background(), c)
+	res, err := distRun(context.Background(), c, chainedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLocal(t, "after worker kill", res)
+	requireLocal(t, "after worker kill", chainedCampaign, res)
 	st := c.Stats()
 	if st.Requeued == 0 {
 		t.Fatalf("worker died but nothing was requeued: %+v", st)
@@ -223,11 +228,11 @@ func TestLeaseExpiryDuplicateCompletionDedupe(t *testing.T) {
 	w2 := startWorker(t, "w2", shim.wrap("w2"))
 	c := newTestCoordinator(t, 50*time.Millisecond, w1, w2)
 
-	res, err := distRun(context.Background(), c)
+	res, err := distRun(context.Background(), c, chainedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLocal(t, "with duplicate completions", res)
+	requireLocal(t, "with duplicate completions", chainedCampaign, res)
 	st := c.Stats()
 	if st.LeaseExpired == 0 {
 		t.Fatalf("no lease expired against a %v-delayed worker: %+v", shim.delay, st)
@@ -245,48 +250,177 @@ func TestLeaseExpiryDuplicateCompletionDedupe(t *testing.T) {
 	}
 }
 
+// The gate workload holds one plan-graph node inside worker execution
+// until the test opens it: every kernel execution of its first node
+// blocks on gate and signals gateStarted on entry, so the test knows the
+// node is running on a worker rather than merely dispatched. Its second
+// node is seeded by the first, so no other node can be in flight while
+// the first is held.
+var (
+	gateMu      sync.Mutex
+	gate        chan struct{}
+	gateStarted chan struct{}
+)
+
+// armGate installs a closed-until-released gate and returns its entry
+// signal and the (idempotent) release.
+func armGate(t *testing.T) (started <-chan struct{}, release func()) {
+	t.Helper()
+	g, sig := make(chan struct{}), make(chan struct{}, 1)
+	gateMu.Lock()
+	gate, gateStarted = g, sig
+	gateMu.Unlock()
+	var once sync.Once
+	release = func() { once.Do(func() { close(g) }) }
+	t.Cleanup(release)
+	return sig, release
+}
+
+func init() {
+	if err := rooftune.RegisterWorkload(gateWorkload{}); err != nil {
+		panic(err)
+	}
+}
+
+type gateWorkload struct{}
+
+func (gateWorkload) Name() string { return "distgate" }
+
+func (gateWorkload) Plan(t rooftune.Target, p rooftune.Params) (rooftune.Plan, error) {
+	var plan rooftune.Plan
+	if t.IsNative() {
+		return plan, fmt.Errorf("distgate: simulated only")
+	}
+	held, seeded := vclock.NewVirtual(), vclock.NewVirtual()
+	plan.Add(
+		"distgate/1s",
+		sweep.Spec{Name: "distgate held", Clock: held, Cases: []bench.Case{&gateCase{clock: held, held: true, work: 1}}},
+		rooftune.Point{Sockets: 1, Region: "GATE"},
+	)
+	plan.Chain(
+		"distgate/2s", "distgate/1s",
+		sweep.Spec{Name: "distgate seeded", Clock: seeded, Cases: []bench.Case{&gateCase{clock: seeded, work: 2}}},
+		rooftune.Point{Sockets: 2, Region: "GATE"},
+	)
+	return plan, nil
+}
+
+type gateCase struct {
+	clock *vclock.Virtual
+	held  bool
+	work  float64
+}
+
+func (c *gateCase) Key() string          { return fmt.Sprintf("distgate/%t", c.held) }
+func (c *gateCase) Describe() string     { return "distgate" }
+func (c *gateCase) Metric() bench.Metric { return bench.MetricBandwidth }
+func (c *gateCase) Config() bench.Config {
+	return bench.TriadConfig{Elements: 1 << 12, Sockets: 1}
+}
+
+func (c *gateCase) NewInvocation(inv int) (bench.Instance, error) {
+	return &gateInstance{c: c}, nil
+}
+
+type gateInstance struct{ c *gateCase }
+
+func (i *gateInstance) Step() time.Duration {
+	if i.c.held {
+		gateMu.Lock()
+		g, sig := gate, gateStarted
+		gateMu.Unlock()
+		select {
+		case sig <- struct{}{}:
+		default:
+		}
+		<-g
+	}
+	d := time.Millisecond
+	i.c.clock.Advance(d)
+	return d
+}
+
+func (i *gateInstance) Work() float64 { return i.c.work }
+func (i *gateInstance) Warmup()       { i.Step() }
+func (i *gateInstance) Close()        {}
+
+const gatedCampaign = `{"system": "Gold 6148", "workloads": ["distgate"], "chain": true}`
+
 // TestCoordinatorRestartInFlightLeases: a coordinator dies (context
-// cancelled) while nodes are in flight; a fresh coordinator replays the
-// sweep against the same fleet. Placement is by node fingerprint, so
-// every coordinator sends a node to the same worker: in-flight nodes
-// are joined and completed ones answered from that worker's completion
-// cache — the replay is correct and byte-identical to local.
+// cancelled) while a node is running on a worker; a fresh coordinator
+// replays the campaign against the same fleet. Placement is by node
+// fingerprint, so every coordinator sends a node to the same worker: the
+// running node is joined, not measured again, the node it seeds runs
+// after it, and a further replay is answered from the completion caches
+// — every Result byte-identical to local.
 func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	w1 := startWorker(t, "w1", nil)
 	w2 := startWorker(t, "w2", nil)
+	sum := func(f func(w *Worker) uint64) uint64 { return f(w1.w) + f(w2.w) }
+	running := func() uint64 { return sum(func(w *Worker) uint64 { return uint64(w.runningCount()) }) }
+	hits := func() uint64 { return sum(func(w *Worker) uint64 { return w.dedupeHits.Load() }) }
+	runs := func() uint64 { return sum(func(w *Worker) uint64 { return w.nodesRun.Load() }) }
+	started, release := armGate(t)
 
-	// First coordinator: cancelled almost immediately, mid-dispatch.
+	// First coordinator: cancelled while the held node runs on a worker.
 	c1 := newTestCoordinator(t, time.Minute, w1, w2)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = distRun(ctx1, c1)
+		_, _ = distRun(ctx1, c1, gatedCampaign)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-started
 	cancel1()
 	<-done
-
-	// Second coordinator: same fleet, fresh state. Every node the first
-	// coordinator managed to start is either still running (joined) or
-	// cached (replayed) on the workers.
-	c2 := newTestCoordinator(t, time.Minute, w1, w2)
-	res, err := distRun(context.Background(), c2)
-	if err != nil {
-		t.Fatal(err)
+	// The worker finishes what it started under its own context, so the
+	// held node outlives the coordinator that dispatched it.
+	if running() != 1 {
+		t.Fatalf("%d nodes running after the coordinator died, want the held one", running())
 	}
-	requireLocal(t, "after coordinator restart", res)
+
+	// Second coordinator: same fleet, fresh state. Its only ready node is
+	// the held one, so the dedupe hit it scores while the gate is shut is
+	// the join of the running node.
+	hits0 := hits()
+	c2 := newTestCoordinator(t, time.Minute, w1, w2)
+	type result struct {
+		res *rooftune.Result
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		res, err := distRun(context.Background(), c2, gatedCampaign)
+		second <- result{res, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); hits() == hits0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second coordinator never joined the running node")
+		}
+	}
+	if running() != 1 {
+		t.Fatalf("%d nodes running during the join, want the held one", running())
+	}
+	release()
+	r := <-second
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	requireLocal(t, "after coordinator restart", gatedCampaign, r.res)
+	if n := runs(); n != 2 {
+		t.Fatalf("two nodes measured %d times in all", n)
+	}
+
 	// Idempotency: replaying the whole campaign a second time measures
 	// nothing — every node answers from the completion caches.
-	before := w1.w.nodesRun.Load() + w2.w.nodesRun.Load()
 	c3 := newTestCoordinator(t, time.Minute, w1, w2)
-	res2, err := distRun(context.Background(), c3)
+	res, err := distRun(context.Background(), c3, gatedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLocal(t, "replay", res2)
-	if after := w1.w.nodesRun.Load() + w2.w.nodesRun.Load(); after != before {
-		t.Fatalf("replay re-measured nodes: %d fresh runs", after-before)
+	requireLocal(t, "replay", gatedCampaign, res)
+	if n := runs(); n != 2 {
+		t.Fatalf("replay re-measured nodes: %d fresh runs", n-2)
 	}
 }
 
@@ -306,11 +440,11 @@ func TestLocalFallbackNoWorkers(t *testing.T) {
 	defer cancel()
 	c.Start(ctx)
 
-	res, err := distRun(context.Background(), c)
+	res, err := distRun(context.Background(), c, chainedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLocal(t, "local fallback", res)
+	requireLocal(t, "local fallback", chainedCampaign, res)
 	if st := c.Stats(); st.LocalFallback == 0 {
 		t.Fatalf("dead fleet but no local fallback recorded: %+v", st)
 	}
@@ -336,7 +470,7 @@ func TestLegacyBoundPushNotFound(t *testing.T) {
 		t.Fatalf("legacy bound push: status %d, want 404", resp.StatusCode)
 	}
 
-	camp, sess, err := resolve()
+	camp, sess, err := resolve(chainedCampaign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (r *Runner) DistributionStudy() ([]DistributionRow, error) {
 			continue
 		}
 		eng := bench.NewSimEngine(sys, r.Seed)
-		trace := bench.NewTraceBuffer(0)
+		trace := bench.NewTraceBuffer()
 		eval := bench.NewEvaluator(eng.Clock, bench.DefaultBudget())
 		eval.Sampler = trace
 		c := eng.DGEMMCase(opt.S1.N, opt.S1.M, opt.S1.K, 1)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"rooftune/internal/bench"
 	"rooftune/internal/core"
 	"rooftune/internal/units"
 )
@@ -23,7 +22,3 @@ func flopsFromBandwidth(b units.Bandwidth) units.Flops {
 func dgemmIntensity(d core.Dims) units.Intensity {
 	return units.DGEMMIntensity(d.N, d.M, d.K)
 }
-
-// Outcomes extracts the outcomes of a result (test helper shared across
-// experiment tests).
-func Outcomes(res *core.Result) []*bench.Outcome { return res.All }

@@ -30,31 +30,6 @@ type OptTable struct {
 	MinCountRows []OptRow
 }
 
-// RelativeErrorVsDefault returns the worst relative deviation of a
-// technique's found peaks from the Default row's — the paper's "< 2%
-// error" claim. Hand-tuned Time and Single are excluded by the caller if
-// desired (the paper's claim covers the CI-based techniques).
-func (t *OptTable) RelativeErrorVsDefault(techName string) (float64, error) {
-	var def, row *OptRow
-	for i := range t.Rows {
-		switch t.Rows[i].Technique {
-		case "Default":
-			def = &t.Rows[i]
-		case techName:
-			row = &t.Rows[i]
-		}
-	}
-	if def == nil || row == nil {
-		return 0, fmt.Errorf("experiments: technique %q or Default missing", techName)
-	}
-	e1 := core.RelativeError(row.FS1, def.FS1)
-	e2 := core.RelativeError(row.FS2, def.FS2)
-	if e2 > e1 {
-		e1 = e2
-	}
-	return e1, nil
-}
-
 // OptimizationTable reproduces the system's Tables VIII-XI row set. For
 // the 2695v4 it also fills MinCountRows (the paper's min_count=100
 // block). The Default row always runs first: its time is the speedup

@@ -200,23 +200,6 @@ func TestMinCountAnomaly2695v4(t *testing.T) {
 	}
 }
 
-func TestRelativeErrorVsDefaultHelper(t *testing.T) {
-	tbl := &OptTable{System: "x", Rows: []OptRow{
-		{Technique: "Default", FS1: 100, FS2: 200},
-		{Technique: "C+Inner", FS1: 99, FS2: 196},
-	}}
-	e, err := tbl.RelativeErrorVsDefault("C+Inner")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e-0.02) > 1e-9 {
-		t.Fatalf("worst error = %v, want 0.02", e)
-	}
-	if _, err := tbl.RelativeErrorVsDefault("nope"); err == nil {
-		t.Fatal("unknown technique must error")
-	}
-}
-
 func TestIntelComparisonReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive search on the Gold 6132")

@@ -267,30 +267,6 @@ func (a Affinity) String() string {
 	return "close"
 }
 
-// SocketsUsed returns how many sockets the policy touches when running
-// `threads` threads on system s: close packing fills sockets one by one,
-// spread touches all requested sockets immediately.
-func (a Affinity) SocketsUsed(s *System, threads, socketsAvail int) int {
-	avail := s.clampSockets(socketsAvail)
-	if threads <= 0 {
-		return 1
-	}
-	if a == AffinitySpread {
-		if threads < avail {
-			return threads
-		}
-		return avail
-	}
-	used := (threads + s.CoresPerSocket - 1) / s.CoresPerSocket
-	if used > avail {
-		used = avail
-	}
-	if used < 1 {
-		used = 1
-	}
-	return used
-}
-
 // Predefined systems. These are package-level immutable templates; use
 // Get to obtain a copy safe for mutation.
 var (

@@ -130,22 +130,6 @@ func TestAffinity(t *testing.T) {
 	if AffinityClose.String() != "close" || AffinitySpread.String() != "spread" {
 		t.Fatal("affinity names")
 	}
-	s := IdunE52650v4 // 12 cores/socket, 2 sockets
-	if got := AffinityClose.SocketsUsed(&s, 12, 2); got != 1 {
-		t.Fatalf("close with one socket's worth of threads: %d sockets", got)
-	}
-	if got := AffinityClose.SocketsUsed(&s, 13, 2); got != 2 {
-		t.Fatalf("close spilling: %d sockets", got)
-	}
-	if got := AffinitySpread.SocketsUsed(&s, 2, 2); got != 2 {
-		t.Fatalf("spread with 2 threads: %d sockets", got)
-	}
-	if got := AffinitySpread.SocketsUsed(&s, 1, 2); got != 1 {
-		t.Fatalf("spread with 1 thread: %d sockets", got)
-	}
-	if got := AffinityClose.SocketsUsed(&s, 0, 2); got != 1 {
-		t.Fatalf("zero threads: %d sockets", got)
-	}
 }
 
 func TestRegistry(t *testing.T) {

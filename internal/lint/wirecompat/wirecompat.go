@@ -4,7 +4,7 @@
 //
 // The serving tier's whole contract rests on these schemas: cached
 // Results are stored as serialized bytes and replayed verbatim, session
-// fingerprints hash bench.ConfigCanonical renderings, and rooftool
+// fingerprints hash bench.AppendConfigCanonical renderings, and rooftool
 // -remote decodes what an arbitrary daemon emitted. A silent field
 // rename, retype, or omitempty flip in the wire structs changes the
 // bytes without failing any type check. This analyzer walks the wire

@@ -6,24 +6,14 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// ErrClosed is returned by RunContext when the pool was closed before the
-// batch could be enqueued.
-var ErrClosed = errors.New("parallel: pool closed")
 
 // Range is a half-open index interval [Lo, Hi).
 type Range struct {
 	Lo, Hi int
 }
-
-// Len returns the number of indices in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
 
 // StaticPartition divides [0, n) into at most p contiguous blocks whose
 // sizes differ by at most one — the OpenMP static schedule with default
@@ -118,9 +108,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes body(lo, hi) over a static partition of [0, n) on the pool
 // and blocks until every block has finished. It reports whether the batch
 // ran: false means the pool was already closed and no work executed — the
@@ -149,38 +136,6 @@ func (p *Pool) Run(n int, body func(lo, hi int)) bool {
 	p.closeMu.Unlock()
 	p.wg.Wait()
 	return true
-}
-
-// RunContext is Run with cancellation between partitions: a partition
-// whose task starts after ctx is done is skipped rather than executed, so
-// a large batch aborts after at most one in-flight partition per worker.
-// It always waits for the batch to drain before returning — no task ever
-// touches the partitioned data after RunContext returns. It reports
-// ErrClosed if the pool was closed before the batch could start, and
-// ctx.Err() only when cancellation actually cost work: a cancellation
-// that lands after every partition has executed is not a failure, and
-// RunContext returns nil so a fully-completed batch is never discarded.
-func (p *Pool) RunContext(ctx context.Context, n int, body func(lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var skipped atomic.Bool
-	ran := p.Run(n, func(lo, hi int) {
-		if ctx.Err() != nil {
-			skipped.Store(true)
-			return
-		}
-		body(lo, hi)
-	})
-	if !ran {
-		return ErrClosed
-	}
-	if skipped.Load() {
-		// skipped implies ctx was done at the skip, and ctx errors are
-		// sticky, so this is never nil.
-		return ctx.Err()
-	}
-	return nil
 }
 
 // Close shuts the workers down once in-flight batches finish enqueueing.

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -25,10 +23,10 @@ func TestStaticPartitionProperties(t *testing.T) {
 				return false
 			}
 			lo = r.Hi
-			if l := r.Len(); l < minLen {
+			if l := r.Hi - r.Lo; l < minLen {
 				minLen = l
 			}
-			if l := r.Len(); l > maxLen {
+			if l := r.Hi - r.Lo; l > maxLen {
 				maxLen = l
 			}
 		}
@@ -101,8 +99,8 @@ func TestForZeroWork(t *testing.T) {
 func TestPoolRun(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
-	if pool.Workers() != 4 {
-		t.Fatalf("Workers = %d", pool.Workers())
+	if pool.workers != 4 {
+		t.Fatalf("workers = %d", pool.workers)
 	}
 	var sum int64
 	for round := 0; round < 10; round++ { // reuse across batches
@@ -119,8 +117,8 @@ func TestPoolRun(t *testing.T) {
 func TestPoolMinimumOneWorker(t *testing.T) {
 	pool := NewPool(0)
 	defer pool.Close()
-	if pool.Workers() != 1 {
-		t.Fatalf("Workers = %d, want clamp to 1", pool.Workers())
+	if pool.workers != 1 {
+		t.Fatalf("workers = %d, want clamp to 1", pool.workers)
 	}
 	ran := false
 	pool.Run(1, func(lo, hi int) { ran = true })
@@ -174,94 +172,5 @@ func TestPoolConcurrentRunAndClose(t *testing.T) {
 func TestDefaultThreadsPositive(t *testing.T) {
 	if DefaultThreads() < 1 {
 		t.Fatal("DefaultThreads must be >= 1")
-	}
-}
-
-func TestPoolRunContext(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-
-	var ran atomic.Int64
-	if err := p.RunContext(context.Background(), 64, func(lo, hi int) {
-		ran.Add(int64(hi - lo))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 64 {
-		t.Fatalf("ran %d of 64 indices", ran.Load())
-	}
-
-	// A pre-canceled context runs nothing and reports the cancellation.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran.Store(0)
-	if err := p.RunContext(ctx, 64, func(lo, hi int) { ran.Add(int64(hi - lo)) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("pre-canceled batch still ran %d indices", ran.Load())
-	}
-}
-
-func TestPoolRunContextCancelSkipsQueuedTask(t *testing.T) {
-	// Occupy the pool's only worker, queue a second batch behind it, then
-	// cancel before the worker frees up: the queued task must be skipped,
-	// not executed, and RunContext must still drain and report ctx.Err().
-	p := NewPool(1)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go p.Run(1, func(int, int) { close(started); <-release })
-	<-started
-
-	var ran atomic.Bool
-	errc := make(chan error, 1)
-	go func() { errc <- p.RunContext(ctx, 1, func(int, int) { ran.Store(true) }) }()
-	// Whether the second batch has enqueued yet or not, cancelling now is
-	// correct either way: pre-check or in-task skip, the body never runs.
-	cancel()
-	close(release)
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() {
-		t.Fatal("queued task ran after cancellation")
-	}
-}
-
-func TestPoolRunContextCompletedBatchSurvivesLateCancel(t *testing.T) {
-	// Regression: RunContext used to report ctx.Err() even when every
-	// partition had already executed, so a caller discarded a
-	// fully-completed batch as a failure. A cancellation that costs no
-	// work is not a failure.
-	p := NewPool(2)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var ran atomic.Int64
-	last := int64(16)
-	err := p.RunContext(ctx, int(last), func(lo, hi int) {
-		if n := ran.Add(int64(hi - lo)); n == last {
-			// The final partition cancels after its work is done: by the
-			// time RunContext inspects the context, the batch is complete.
-			cancel()
-		}
-	})
-	if err != nil {
-		t.Fatalf("fully-completed batch reported %v, want nil", err)
-	}
-	if ran.Load() != last {
-		t.Fatalf("ran %d of %d indices", ran.Load(), last)
-	}
-}
-
-func TestPoolRunContextClosed(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	if err := p.RunContext(context.Background(), 8, func(int, int) {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

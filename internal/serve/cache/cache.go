@@ -253,14 +253,6 @@ func (c *Cache) insert(key string, val []byte, expires time.Time) {
 	}
 }
 
-// Len reports the number of resident entries (expired-but-unswept
-// entries included; they fall out on their next lookup).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

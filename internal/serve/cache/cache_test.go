@@ -84,8 +84,8 @@ func TestOverwriteRefreshes(t *testing.T) {
 	if got, _ := c.Get(key(1)); string(got) != "v2" {
 		t.Fatalf("Get = %q after overwrite", got)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("entries = %d, want 1", c.Stats().Entries)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestDirReloadKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", re.Len())
+	if re.Stats().Entries != 2 {
+		t.Fatalf("entries = %d, want 2", re.Stats().Entries)
 	}
 	for i := 0; i < 2; i++ {
 		if _, ok := re.Get(key(i)); ok {
@@ -255,8 +255,8 @@ func TestDirIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("foreign files loaded: Len = %d", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("foreign files loaded: entries = %d", c.Stats().Entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "README.txt")); err != nil {
 		t.Fatalf("foreign file touched: %v", err)
@@ -285,7 +285,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("bound exceeded: Len = %d", c.Len())
+	if c.Stats().Entries > 16 {
+		t.Fatalf("bound exceeded: entries = %d", c.Stats().Entries)
 	}
 }

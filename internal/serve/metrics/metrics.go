@@ -3,10 +3,10 @@
 // counters, gauges and histograms, served at GET /metrics.
 //
 // Two instrument styles cover the daemon's needs without a registry of
-// callbacks woven through every package. Push instruments (Counter,
-// Histogram) are handed to the component that observes the event — the
-// admission controller pushes every queue-wait duration into its
-// histogram. Pull instruments (CounterFunc, GaugeFunc) snapshot a
+// callbacks woven through every package. The push instrument, Histogram,
+// is handed to the component that observes the event — the admission
+// controller pushes every queue-wait duration into its histogram. Pull
+// instruments (CounterFunc, GaugeFunc) snapshot a
 // component's own counters at scrape time — the cache's hit/miss/
 // eviction counts are read from cache.Stats() when /metrics is scraped,
 // so the exposition always reconciles exactly with the component's
@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // nameRE is the Prometheus metric-name grammar; labels are validated as
@@ -35,20 +34,6 @@ var (
 	nameRE  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelRE = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*")*$`)
 )
-
-// Counter is a monotonically increasing push instrument.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Histogram is a push instrument with fixed upper-bound buckets and the
 // conventional cumulative rendering (+Inf bucket, _sum, _count).
@@ -89,11 +74,10 @@ const (
 // series is one sample line within a family: a label set and how to
 // read its current value(s).
 type series struct {
-	labels  string
-	counter *Counter
-	hist    *Histogram
-	fnU     func() uint64
-	fnF     func() float64
+	labels string
+	hist   *Histogram
+	fnU    func() uint64
+	fnF    func() float64
 }
 
 // family groups the series sharing one metric name: one HELP/TYPE pair,
@@ -145,14 +129,6 @@ func (s *Set) register(name, labels, help string, k kind, sr *series) {
 		}
 	}
 	f.series = append(f.series, sr)
-}
-
-// Counter registers and returns a push counter. labels is a rendered
-// Prometheus label list (`reason="queue_full"`) or empty.
-func (s *Set) Counter(name, labels, help string) *Counter {
-	c := &Counter{}
-	s.register(name, labels, help, kindCounter, &series{counter: c})
-	return c
 }
 
 // CounterFunc registers a pull counter: fn is read at scrape time and
@@ -211,8 +187,6 @@ func renderSeries(w io.Writer, name string, sr *series) error {
 		return err
 	}
 	switch {
-	case sr.counter != nil:
-		return sample("", sr.labels, strconv.FormatUint(sr.counter.Value(), 10))
 	case sr.fnU != nil:
 		return sample("", sr.labels, strconv.FormatUint(sr.fnU(), 10))
 	case sr.fnF != nil:

@@ -18,9 +18,7 @@ func render(t *testing.T, s *Set) string {
 
 func TestCounterRendering(t *testing.T) {
 	s := NewSet()
-	c := s.Counter("roofserve_test_total", "", "a test counter")
-	c.Inc()
-	c.Add(2)
+	s.CounterFunc("roofserve_test_total", "", "a test counter", func() uint64 { return 3 })
 
 	want := "# HELP roofserve_test_total a test counter\n" +
 		"# TYPE roofserve_test_total counter\n" +
@@ -35,10 +33,8 @@ func TestCounterRendering(t *testing.T) {
 // registration order.
 func TestLabeledFamilySharesHelpType(t *testing.T) {
 	s := NewSet()
-	qf := s.Counter("roofserve_shed_total", `reason="queue_full"`, "sheds by reason")
-	cq := s.Counter("roofserve_shed_total", `reason="client_quota"`, "sheds by reason")
-	qf.Add(5)
-	cq.Inc()
+	s.CounterFunc("roofserve_shed_total", `reason="queue_full"`, "sheds by reason", func() uint64 { return 5 })
+	s.CounterFunc("roofserve_shed_total", `reason="client_quota"`, "sheds by reason", func() uint64 { return 1 })
 
 	want := "# HELP roofserve_shed_total sheds by reason\n" +
 		"# TYPE roofserve_shed_total counter\n" +
@@ -106,19 +102,20 @@ func TestObserveOnBoundary(t *testing.T) {
 }
 
 func TestRegistrationPanics(t *testing.T) {
+	zero := func() uint64 { return 0 }
 	cases := []struct {
 		name string
 		f    func(s *Set)
 	}{
-		{"invalid name", func(s *Set) { s.Counter("bad name", "", "h") }},
-		{"invalid labels", func(s *Set) { s.Counter("ok_total", `not labels`, "h") }},
+		{"invalid name", func(s *Set) { s.CounterFunc("bad name", "", "h", zero) }},
+		{"invalid labels", func(s *Set) { s.CounterFunc("ok_total", `not labels`, "h", zero) }},
 		{"kind mismatch", func(s *Set) {
-			s.Counter("x_total", "", "h")
+			s.CounterFunc("x_total", "", "h", zero)
 			s.GaugeFunc("x_total", "", "h", func() float64 { return 0 })
 		}},
 		{"duplicate series", func(s *Set) {
-			s.Counter("y_total", `a="b"`, "h")
-			s.Counter("y_total", `a="b"`, "h")
+			s.CounterFunc("y_total", `a="b"`, "h", zero)
+			s.CounterFunc("y_total", `a="b"`, "h", zero)
 		}},
 		{"non-increasing bounds", func(s *Set) { s.Histogram("h_seconds", "h", []float64{1, 1}) }},
 	}
@@ -136,7 +133,7 @@ func TestRegistrationPanics(t *testing.T) {
 
 func TestServeHTTPContentType(t *testing.T) {
 	s := NewSet()
-	s.Counter("roofserve_ok_total", "", "h").Inc()
+	s.CounterFunc("roofserve_ok_total", "", "h", func() uint64 { return 1 })
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
@@ -147,11 +144,10 @@ func TestServeHTTPContentType(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserve hammers push instruments while scraping, under
+// TestConcurrentObserve hammers a push instrument while scraping, under
 // -race, and checks the final totals.
 func TestConcurrentObserve(t *testing.T) {
 	s := NewSet()
-	c := s.Counter("c_total", "", "h")
 	h := s.Histogram("h_seconds", "h", []float64{0.5})
 
 	var wg sync.WaitGroup
@@ -160,7 +156,6 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
 				h.Observe(0.25)
 			}
 		}()
@@ -174,9 +169,6 @@ func TestConcurrentObserve(t *testing.T) {
 	wg.Wait()
 
 	got := render(t, s)
-	if !strings.Contains(got, "c_total 8000\n") {
-		t.Fatalf("counter total:\n%s", got)
-	}
 	if !strings.Contains(got, "h_seconds_count 8000\n") || !strings.Contains(got, "h_seconds_bucket{le=\"0.5\"} 8000\n") {
 		t.Fatalf("histogram totals:\n%s", got)
 	}

@@ -138,8 +138,3 @@ func genericCalibration(sys hw.System) map[int]Params {
 	}
 	return out
 }
-
-// CalibratedSystems lists the systems with published-data calibrations.
-func CalibratedSystems() []string {
-	return []string{"2650v4", "2695v4", "Gold 6132", "Gold 6148", "Silver 4110"}
-}

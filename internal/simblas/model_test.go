@@ -250,14 +250,6 @@ func TestSetupTimeScalesWithSize(t *testing.T) {
 	}
 }
 
-func TestCalibratedSystemsList(t *testing.T) {
-	for _, name := range CalibratedSystems() {
-		if _, ok := calibrations[name]; !ok {
-			t.Errorf("CalibratedSystems lists %q without calibration", name)
-		}
-	}
-}
-
 // TestWarmupRampTable pins the memoised warm-up ramp bit for bit to the
 // direct formula, for every calibrated (RampDepth, RampTau) pair and the
 // generic fallback's.

@@ -72,10 +72,6 @@ const DefaultMinMeasuredPass = 50 * time.Microsecond
 // number.
 const DRAMRegionFactor = 4.0
 
-// L3RegionLow is the multiple of aggregate L2 capacity below which a
-// working set is considered L2-resident rather than L3.
-const L3RegionLow = 1.5
-
 // NewModel builds the bandwidth model for a system, solving the hit
 // constants so the published Table VI numbers are reproduced at the
 // DRAM-region boundary.

@@ -135,13 +135,6 @@ func (a *CSR) Intensity() units.Intensity {
 	return units.Intensity(a.Flops() / a.Bytes())
 }
 
-// Mul computes y = A*x serially — the reference the parallel kernel is
-// tested against. It panics on shape mismatch, mirroring blas.DGEMM.
-func Mul(y []float64, a *CSR, x []float64) {
-	checkShapes(y, a, x)
-	mulRows(y, a, x, 0, a.N)
-}
-
 // MulChunked computes y = A*x on the pool, splitting the rows into
 // chunkRows-row tasks distributed over the workers. The chunk size is the
 // kernel's tuning knob: small chunks interleave finely (good balance, more

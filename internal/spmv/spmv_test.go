@@ -9,6 +9,13 @@ import (
 	"rooftune/internal/units"
 )
 
+// Mul computes y = A*x serially — the reference the parallel kernel is
+// tested against. It panics on shape mismatch, mirroring blas.DGEMM.
+func Mul(y []float64, a *CSR, x []float64) {
+	checkShapes(y, a, x)
+	mulRows(y, a, x, 0, a.N)
+}
+
 func TestSyntheticShape(t *testing.T) {
 	a := Synthetic(100, 8, 1021)
 	if err := a.Validate(); err != nil {

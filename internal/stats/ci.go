@@ -17,15 +17,6 @@ type Interval struct {
 // calls "marg" in Listing 1.
 func (iv Interval) Margin() float64 { return iv.Upper - iv.Mean }
 
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lower && x <= iv.Upper }
-
-// Overlaps reports whether two intervals overlap, the comparison rule
-// Georges et al. recommend when deciding whether two alternatives differ.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Lower <= o.Upper && o.Lower <= iv.Upper
-}
-
 // RelativeHalfWidth returns Margin/|Mean|, the quantity compared against
 // the ±1% threshold of stop condition 3. Returns +Inf for a zero mean with
 // a nonzero margin.

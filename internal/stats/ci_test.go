@@ -126,8 +126,8 @@ func TestNormalCIKnown(t *testing.T) {
 	if math.Abs(iv.Margin()-wantMarg) > 1e-4 {
 		t.Fatalf("CI margin %v, want %v", iv.Margin(), wantMarg)
 	}
-	if !iv.Contains(10) || iv.Contains(20) {
-		t.Fatal("Contains broken")
+	if iv.Lower > 10 || iv.Upper < 10 || iv.Upper >= 20 {
+		t.Fatalf("CI %v must cover 10 and not 20", iv)
 	}
 }
 
@@ -173,18 +173,6 @@ func TestCILevelOrdering(t *testing.T) {
 	}
 	if StudentCI(&w, 0.99).Margin() <= NormalCI(&w, 0.99).Margin() {
 		t.Fatal("t CI must be wider than z CI at n=30")
-	}
-}
-
-func TestIntervalOverlaps(t *testing.T) {
-	a := Interval{Mean: 5, Lower: 4, Upper: 6}
-	b := Interval{Mean: 6.5, Lower: 5.5, Upper: 7.5}
-	c := Interval{Mean: 10, Lower: 9, Upper: 11}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("a and b overlap")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("a and c do not overlap")
 	}
 }
 

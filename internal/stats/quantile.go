@@ -104,64 +104,3 @@ func JarqueBera(xs []float64) (stat, pValue float64) {
 	pValue = math.Exp(-stat / 2)
 	return stat, pValue
 }
-
-// Histogram is a fixed-bin histogram over a closed range.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	Under  int64 // observations below Lo
-	Over   int64 // observations above Hi
-}
-
-// NewHistogram builds an empty histogram with the given bin count over
-// [lo, hi]. It panics if bins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: NewHistogram with bins < 1")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x > h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // x == Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int64 {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mode returns the midpoint of the fullest bin, or 0 if empty.
-func (h *Histogram) Mode() float64 {
-	best, bestCount := -1, int64(-1)
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	if best < 0 || bestCount <= 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(best)+0.5)*w
-}

@@ -134,38 +134,6 @@ func TestExcessKurtosisHeavyTails(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1, 3, 5, 7, 9, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 9 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// bin 0 holds {0, 1}; x=10 lands in the last bin by the closed-range rule.
-	if h.Counts[0] != 2 {
-		t.Fatalf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9 and 10
-		t.Fatalf("bin 4 = %d", h.Counts[4])
-	}
-	if mode := h.Mode(); mode != 1 && mode != 9 {
-		t.Fatalf("mode = %v (bins 0 and 4 tie; either midpoint acceptable)", mode)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestBootstrapCICoversTrueMean(t *testing.T) {
 	rng := xrand.New(2024)
 	xs := make([]float64, 200)
@@ -177,7 +145,7 @@ func TestBootstrapCICoversTrueMean(t *testing.T) {
 	if iv.Mean != mean {
 		t.Fatalf("bootstrap center %v != sample mean %v", iv.Mean, mean)
 	}
-	if !iv.Contains(50) {
+	if iv.Lower > 50 || iv.Upper < 50 {
 		t.Fatalf("99%% bootstrap CI %v should cover the true mean 50", iv)
 	}
 	if iv.Margin() <= 0 || iv.Margin() > 3 {

@@ -59,13 +59,6 @@ func (d *SteadyDetector) Add(x float64) bool {
 // Steady reports whether steady state has been declared.
 func (d *SteadyDetector) Steady() bool { return d.steady }
 
-// Reset returns the detector to its initial state.
-func (d *SteadyDetector) Reset() {
-	d.steady = false
-	d.filled = 0
-	d.next = 0
-}
-
 func (d *SteadyDetector) windowCoV() float64 {
 	var sum float64
 	for _, v := range d.buf {

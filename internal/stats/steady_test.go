@@ -58,20 +58,6 @@ func TestSteadyDetectorLatches(t *testing.T) {
 	}
 }
 
-func TestSteadyDetectorReset(t *testing.T) {
-	d := NewSteadyDetector(3, 0.05)
-	for i := 0; i < 3; i++ {
-		d.Add(1)
-	}
-	d.Reset()
-	if d.Steady() {
-		t.Fatal("Reset must clear the latch")
-	}
-	if d.Add(1) {
-		t.Fatal("window must refill after Reset")
-	}
-}
-
 func TestSteadyDetectorNoisyNeverSteady(t *testing.T) {
 	rng := xrand.New(77)
 	d := NewSteadyDetector(10, 0.01)

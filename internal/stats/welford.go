@@ -1,7 +1,7 @@
 // Package stats implements the statistical machinery behind the paper's
 // adaptive stop conditions: Welford's online mean/variance (Eqs. 5-7),
-// normal-theory and Student-t confidence intervals, coefficient of
-// variation, order statistics, bootstrap confidence intervals, and the
+// normal-theory and Student-t confidence intervals, steady-state
+// detection, order statistics, bootstrap confidence intervals, and the
 // nonparametric comparisons suggested in the paper's future-work section.
 package stats
 
@@ -22,8 +22,6 @@ type Welford struct {
 	n    int64   // number of observations
 	mean float64 // running mean m_n
 	c    float64 // corrected sum of squares C_n
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
@@ -32,19 +30,12 @@ func (w *Welford) Add(x float64) {
 	if w.n == 1 {
 		w.mean = x
 		w.c = 0
-		w.min, w.max = x, x
 		return
 	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	// C_n = C_{n-1} + ((n-1)/n) * delta^2  ==  C_{n-1} + delta*(x - new mean)
 	w.c += delta * (x - w.mean)
-	if x < w.min {
-		w.min = x
-	}
-	if x > w.max {
-		w.max = x
-	}
 }
 
 // N returns the number of observations accumulated.
@@ -52,15 +43,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation, or 0 for an empty accumulator.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation, or 0 for an empty accumulator.
-func (w *Welford) Max() float64 { return w.max }
-
-// SumSquares returns the corrected sum of squares C_n.
-func (w *Welford) SumSquares() float64 { return w.c }
 
 // Variance returns the unbiased sample variance S^2 = C_n/(n-1) (Eq. 5).
 // It returns 0 when fewer than two observations have been added.
@@ -82,50 +64,8 @@ func (w *Welford) StdErr() float64 {
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
 
-// CoV returns the coefficient of variation S/|mean|, the statistic Georges
-// et al. use to detect steady state. It returns +Inf for a zero mean with
-// nonzero spread, and 0 for an empty accumulator.
-func (w *Welford) CoV() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	if w.mean == 0 {
-		if w.c == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return w.StdDev() / math.Abs(w.mean)
-}
-
 // Reset empties the accumulator for reuse.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// Merge combines another accumulator into w as if all of its observations
-// had been added to w, using the parallel variant of Welford's update
-// (Chan et al.). This supports combining per-invocation statistics into the
-// outer-loop aggregate.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	nA, nB := float64(w.n), float64(o.n)
-	delta := o.mean - w.mean
-	total := nA + nB
-	w.mean += delta * nB / total
-	w.c += o.c + delta*delta*nA*nB/total
-	w.n += o.n
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-}
 
 // String summarises the accumulator for debugging.
 func (w *Welford) String() string {

@@ -22,7 +22,7 @@ type Grid struct {
 
 // NewGrid allocates an nx x ny grid initialised to a deterministic
 // pattern: a hot boundary (1.0) around a cold interior (0.0), the classic
-// Dirichlet setup whose relaxation Jacobi5 performs.
+// Dirichlet setup whose relaxation Jacobi5Tiled performs.
 func NewGrid(nx, ny int) *Grid {
 	if nx < 3 || ny < 3 {
 		panic(fmt.Sprintf("stencil: grid %dx%d too small for a 5-point stencil", nx, ny))
@@ -38,9 +38,6 @@ func NewGrid(nx, ny int) *Grid {
 	}
 	return g
 }
-
-// At returns the value at (x, y); test helper.
-func (g *Grid) At(x, y int) float64 { return g.Data[y*g.NX+x] }
 
 // Points returns the number of interior points one sweep updates.
 func (g *Grid) Points() float64 { return float64(g.NX-2) * float64(g.NY-2) }
@@ -60,16 +57,6 @@ func (g *Grid) Bytes() float64 { return 16 * float64(g.NX) * float64(g.NY) }
 // FLOP/B in the large-grid limit, three times TRIAD's 1/12.
 func (g *Grid) Intensity() units.Intensity {
 	return units.Intensity(g.Flops() / g.Bytes())
-}
-
-// Jacobi5 performs one serial 5-point Jacobi sweep: every interior cell of
-// dst becomes the average of its four src neighbours; boundary cells copy
-// through unchanged. It is the reference the tiled kernel is tested
-// against. Panics on shape mismatch or aliased grids.
-func Jacobi5(dst, src *Grid) {
-	checkShapes(dst, src)
-	copyBoundary(dst, src)
-	sweepRows(dst, src, 1, src.NY-1, 1, src.NX-1)
 }
 
 // Jacobi5Tiled performs one Jacobi sweep traversing the interior in

@@ -8,6 +8,19 @@ import (
 	"rooftune/internal/units"
 )
 
+// Jacobi5 performs one serial 5-point Jacobi sweep: every interior cell of
+// dst becomes the average of its four src neighbours; boundary cells copy
+// through unchanged. It is the reference the tiled kernel is tested
+// against. Panics on shape mismatch or aliased grids.
+func Jacobi5(dst, src *Grid) {
+	checkShapes(dst, src)
+	copyBoundary(dst, src)
+	sweepRows(dst, src, 1, src.NY-1, 1, src.NX-1)
+}
+
+// At returns the value at (x, y).
+func (g *Grid) At(x, y int) float64 { return g.Data[y*g.NX+x] }
+
 func TestNewGridBoundary(t *testing.T) {
 	g := NewGrid(8, 5)
 	for x := 0; x < 8; x++ {

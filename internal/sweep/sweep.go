@@ -60,38 +60,11 @@ type Outcome struct {
 // BestValue returns the winning mean in metric base units.
 func (o *Outcome) BestValue() float64 { return o.Result.BestValue() }
 
-// DGEMM returns the winner as a DGEMM configuration.
-func (o *Outcome) DGEMM() (bench.DGEMMConfig, error) {
-	cfg, ok := o.Best.(bench.DGEMMConfig)
-	if !ok {
-		return cfg, fmt.Errorf("sweep: %s winner has config %T, want DGEMM", o.Name, o.Best)
-	}
-	return cfg, nil
-}
-
 // Triad returns the winner as a TRIAD configuration.
 func (o *Outcome) Triad() (bench.TriadConfig, error) {
 	cfg, ok := o.Best.(bench.TriadConfig)
 	if !ok {
 		return cfg, fmt.Errorf("sweep: %s winner has config %T, want TRIAD", o.Name, o.Best)
-	}
-	return cfg, nil
-}
-
-// SpMV returns the winner as an SpMV configuration.
-func (o *Outcome) SpMV() (bench.SpMVConfig, error) {
-	cfg, ok := o.Best.(bench.SpMVConfig)
-	if !ok {
-		return cfg, fmt.Errorf("sweep: %s winner has config %T, want SpMV", o.Name, o.Best)
-	}
-	return cfg, nil
-}
-
-// Stencil returns the winner as a stencil configuration.
-func (o *Outcome) Stencil() (bench.StencilConfig, error) {
-	cfg, ok := o.Best.(bench.StencilConfig)
-	if !ok {
-		return cfg, fmt.Errorf("sweep: %s winner has config %T, want stencil", o.Name, o.Best)
 	}
 	return cfg, nil
 }

@@ -107,9 +107,9 @@ func TestRunTypedWinners(t *testing.T) {
 		t.Fatalf("outcomes: %d", len(outs))
 	}
 	for _, out := range outs[:2] {
-		cfg, err := out.DGEMM()
-		if err != nil {
-			t.Fatal(err)
+		cfg, ok := out.Best.(bench.DGEMMConfig)
+		if !ok {
+			t.Fatalf("%s: winner has config %T", out.Name, out.Best)
 		}
 		if (core.ConfigDims(cfg) == core.Dims{}) {
 			t.Fatalf("%s: zero dims from typed config", out.Name)

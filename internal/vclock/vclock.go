@@ -83,10 +83,7 @@ func NewStopwatch(clock Clock) *Stopwatch {
 	return &Stopwatch{clock: clock, start: clock.Now()}
 }
 
-// Restart resets the start point to now.
-func (s *Stopwatch) Restart() { s.start = s.clock.Now() }
-
-// Elapsed returns time since the last (re)start.
+// Elapsed returns time since the stopwatch started.
 func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }
 
 // QuantizeMicro rounds d to microsecond resolution, the granularity of

@@ -131,13 +131,13 @@ func TestTunedWinnerMatchesModelArgmax(t *testing.T) {
 
 	model := simspmv.NewModel(sys)
 	for i, out := range first {
-		cfg, err := out.SpMV()
-		if err != nil {
-			t.Fatal(err)
+		cfg, ok := out.Best.(bench.SpMVConfig)
+		if !ok {
+			t.Fatalf("%s: winner has config %T", out.Name, out.Best)
 		}
-		again, err := second[i].SpMV()
-		if err != nil {
-			t.Fatal(err)
+		again, ok := second[i].Best.(bench.SpMVConfig)
+		if !ok {
+			t.Fatalf("%s: winner has config %T", second[i].Name, second[i].Best)
 		}
 		if cfg != again || out.BestValue() != second[i].BestValue() {
 			t.Fatalf("sweep %s not reproducible: %+v/%g vs %+v/%g",

@@ -132,13 +132,13 @@ func TestTunedWinnerMatchesModelArgmax(t *testing.T) {
 
 	model := simstencil.NewModel(sys)
 	for i, out := range first {
-		cfg, err := out.Stencil()
-		if err != nil {
-			t.Fatal(err)
+		cfg, ok := out.Best.(bench.StencilConfig)
+		if !ok {
+			t.Fatalf("%s: winner has config %T", out.Name, out.Best)
 		}
-		again, err := second[i].Stencil()
-		if err != nil {
-			t.Fatal(err)
+		again, ok := second[i].Best.(bench.StencilConfig)
+		if !ok {
+			t.Fatalf("%s: winner has config %T", second[i].Name, second[i].Best)
 		}
 		if cfg != again || out.BestValue() != second[i].BestValue() {
 			t.Fatalf("sweep %s not reproducible", out.Name)

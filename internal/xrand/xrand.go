@@ -5,15 +5,15 @@
 //
 // The generator is SplitMix64 feeding xoshiro256**, both public-domain
 // algorithms by Blackman and Vigna. We implement them locally instead of
-// using math/rand so that (a) streams can be split hierarchically per
-// (system, benchmark, configuration, invocation) without correlation and
-// (b) the sequence is stable across Go releases.
+// using math/rand so that (a) Mix can derive an uncorrelated stream per
+// (system, benchmark, configuration, invocation) and (b) the sequence is
+// stable across Go releases.
 package xrand
 
 import "math"
 
 // splitmix64 advances a 64-bit state and returns the next output. It is
-// used for seeding and stream splitting.
+// used for seeding and stream derivation.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -58,14 +58,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 1
 	}
 	return &r
-}
-
-// Split derives an independent child generator identified by id. Children
-// with distinct ids have uncorrelated streams, which lets the simulator give
-// every (configuration, invocation) pair its own noise source.
-func (r *Rand) Split(id uint64) *Rand {
-	base := r.Uint64()
-	return New(base ^ (id * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -129,27 +121,12 @@ func (r *Rand) Normal() float64 {
 	return mag * math.Cos(2*math.Pi*v)
 }
 
-// NormalScaled returns a normal variate with the given mean and standard
-// deviation.
-func (r *Rand) NormalScaled(mean, sigma float64) float64 {
-	return mean + sigma*r.Normal()
-}
-
 // LogNormal returns a variate whose logarithm is normal with parameters mu
 // and sigma. Benchmark runtimes are right-skewed; the paper observes that
 // "the distribution is usually non-normal", and a lognormal body captures
 // that shape.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.Normal())
-}
-
-// Exponential returns an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
 }
 
 // Gamma returns a Gamma(shape, scale) variate using the Marsaglia-Tsang

@@ -107,7 +107,9 @@ func ParseCampaign(r io.Reader) (Campaign, error) {
 	if err := dec.Decode(&c); err != nil {
 		return c, fmt.Errorf("serve: parse campaign: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a '}' or ']', so only a Token that hits
+	// the end of input proves nothing follows the object.
+	if _, err := dec.Token(); err != io.EOF {
 		return c, fmt.Errorf("serve: parse campaign: trailing data after the campaign object")
 	}
 	return c, nil

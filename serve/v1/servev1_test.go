@@ -73,8 +73,15 @@ func TestParseCampaignRejectsUnknownFields(t *testing.T) {
 }
 
 func TestParseCampaignRejectsTrailingData(t *testing.T) {
-	if _, err := ParseCampaign(strings.NewReader(`{"system": "a"} {"system": "b"}`)); err == nil {
-		t.Fatal("trailing object accepted")
+	for _, tail := range []string{` {"system": "b"}`, `}`, ` }`, `]`, `]]]`, `x`, `{}`} {
+		if _, err := ParseCampaign(strings.NewReader(`{"system": "a"}` + tail)); err == nil {
+			t.Errorf("trailing %q accepted", tail)
+		}
+	}
+	for _, tail := range []string{"", " ", "\n", " \t\r\n "} {
+		if _, err := ParseCampaign(strings.NewReader(`{"system": "a"}` + tail)); err != nil {
+			t.Errorf("trailing whitespace %q rejected: %v", tail, err)
+		}
 	}
 }
 
