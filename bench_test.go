@@ -447,6 +447,8 @@ func BenchmarkSimulatedBuild(b *testing.B) {
 // the pure-Go DGEMM and TRIAD the native engine times.
 func BenchmarkNativeKernels(b *testing.B) {
 	b.Run("dgemm-512", func(b *testing.B) {
+		pool := parallel.NewPool(parallel.DefaultThreads())
+		defer pool.Close()
 		a := blas.NewMatrix(512, 512)
 		bb := blas.NewMatrix(512, 512)
 		c := blas.NewMatrix(512, 512)
@@ -454,7 +456,7 @@ func BenchmarkNativeKernels(b *testing.B) {
 		bb.FillPattern(2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			blas.DGEMM(1, a, bb, 0, c, 0)
+			blas.DGEMM(1, a, bb, 0, c, pool)
 		}
 		flops := units.DGEMMFlops(512, 512, 512)
 		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

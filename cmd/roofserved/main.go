@@ -4,8 +4,7 @@
 // repeated campaign — same system, workloads, space, seed and budget —
 // is answered from the cache byte-for-byte, with zero kernel
 // executions; concurrent identical submissions collapse onto a single
-// run; concurrent distinct campaigns divide the host under a shared
-// parallelism budget.
+// run.
 //
 // Production hardening is configuration: -max-jobs bounds concurrent
 // runs, -queue-depth bounds how many admitted jobs may wait (excess
@@ -24,14 +23,13 @@
 //	GET    /v1/jobs/{id}/events live progress as Server-Sent Events
 //	DELETE /v1/jobs/{id}        cancel a job
 //	GET    /v1/healthz          liveness
-//	GET    /v1/stats            cache / admission / budget / job counters
+//	GET    /v1/stats            cache / admission / job counters
 //	GET    /metrics             Prometheus text-format exposition
 //
 // Examples:
 //
 //	roofserved                          # ephemeral port, in-memory cache
 //	roofserved -addr :8080 -cache-dir /var/cache/roofserved
-//	roofserved -parallelism 4           # cap the host share tuning may use
 //	roofserved -max-jobs 2 -queue-depth 8 -retry-after 2s
 //	roofserved -cache-ttl 24h -cache-min-run 50ms
 package main
@@ -73,7 +71,6 @@ func main() {
 		cacheDir       = flag.String("cache-dir", "", "directory persisting cache entries across restarts (empty = in-memory only)")
 		cacheTTL       = flag.Duration("cache-ttl", 0, "cache entry lifetime; persisted entries honor it across restarts (0 = never expire)")
 		cacheMinRun    = flag.Duration("cache-min-run", 0, "cache admission floor: results measured faster than this are not cached (0 = cache everything)")
-		parallelism    = flag.Int("parallelism", 0, "host-parallelism capacity divided among concurrent runs (0 = GOMAXPROCS)")
 		maxJobs        = flag.Int("max-jobs", 0, "max concurrently running jobs (0 = unlimited, disables queuing and shedding)")
 		queueDepth     = flag.Int("queue-depth", 0, "max admitted jobs waiting for a run slot; excess requests are shed with 429")
 		perClientQueue = flag.Int("per-client-queue", 0, "max queue slots any one client may hold (0 = only -queue-depth bounds it)")
@@ -94,7 +91,6 @@ func main() {
 		CacheDir:        *cacheDir,
 		CacheTTL:        *cacheTTL,
 		CacheMinRun:     *cacheMinRun,
-		Parallelism:     *parallelism,
 		MaxJobs:         *maxJobs,
 		QueueDepth:      *queueDepth,
 		PerClientQueue:  *perClientQueue,

@@ -26,11 +26,11 @@ const fingerprintSchema = "rooftune-fingerprint-v2"
 // a cache keyed on the fingerprint returns a stored Result only to
 // requests that would have re-measured exactly the same thing.
 //
-// Execution-schedule knobs that do not move the Result are excluded on
-// purpose: WithSerial and WithHostParallelism change which hardware runs
-// the schedule, never one byte of the Result (asserted by the
-// determinism suites), so a loaded daemon sharing its host budget across
-// sessions still hits the cache entries an idle one wrote.
+// Knobs that do not move the Result are excluded on purpose: WithSerial
+// changes how many sweeps run at once, never one byte of the Result
+// (asserted by the determinism suites), and WithProgress only observes
+// the run, so a serial campaign still hits the cache entries a
+// concurrent one wrote.
 //
 // On a simulated target the fingerprint is derived from the plan New
 // built (or from a fresh plan once a run has consumed that one) and

@@ -3,7 +3,6 @@ package rooftune
 import (
 	"context"
 	"errors"
-	"reflect"
 	"regexp"
 	"slices"
 	"sync"
@@ -63,40 +62,6 @@ func TestSessionConcurrentRunRejected(t *testing.T) {
 	// The guard must reset: sequential re-runs keep working.
 	if _, err := sess.Run(context.Background()); err != nil {
 		t.Fatalf("sequential re-Run after concurrent rejection: %v", err)
-	}
-}
-
-func TestWithHostParallelismValidation(t *testing.T) {
-	_, err := New(append(tinySessionOptions(), WithHostParallelism(-1))...)
-	if err == nil || !regexp.MustCompile("negative parallelism").MatchString(err.Error()) {
-		t.Fatalf("WithHostParallelism(-1) error = %v, want negative-parallelism rejection", err)
-	}
-}
-
-// TestHostParallelismResultInvariant asserts the budget contract the
-// serving tier depends on: capping the host parallelism changes nothing
-// about the Result — not the winners, not the search-cost accounting —
-// so sessions throttled under a shared budget hit the same
-// content-addressed cache entries as unthrottled ones.
-func TestHostParallelismResultInvariant(t *testing.T) {
-	run := func(extra ...Option) *Result {
-		t.Helper()
-		opts := append(tinySessionOptions(), WithWorkloads("dgemm"))
-		sess, err := New(append(opts, extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run()
-	for _, par := range []int{1, 2, 16} {
-		if got := run(WithHostParallelism(par)); !reflect.DeepEqual(base, got) {
-			t.Fatalf("WithHostParallelism(%d) changed the Result:\nbase %+v\ngot  %+v", par, base, got)
-		}
 	}
 }
 
@@ -160,19 +125,14 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestFingerprintScheduleInvariant: knobs that only choose how much
-// hardware runs the schedule — never what the schedule computes — leave
-// the fingerprint alone, so a throttled daemon still hits cache entries
-// written by an idle one.
+// TestFingerprintScheduleInvariant: WithSerial only chooses how much
+// hardware runs the schedule, never what the schedule computes, so it
+// leaves the fingerprint alone and a serial campaign hits the cache
+// entries a concurrent one wrote.
 func TestFingerprintScheduleInvariant(t *testing.T) {
 	base := slices.Clip(append(tinySessionOptions(), WithWorkloads("dgemm")))
 	ref := fingerprintFor(t, base...)
-	for name, opts := range map[string][]Option{
-		"WithSerial":          append(base, WithSerial()),
-		"WithHostParallelism": append(base, WithHostParallelism(2)),
-	} {
-		if got := fingerprintFor(t, opts...); got != ref {
-			t.Errorf("%s changed the fingerprint: %s -> %s", name, ref, got)
-		}
+	if got := fingerprintFor(t, append(base, WithSerial())...); got != ref {
+		t.Errorf("WithSerial changed the fingerprint: %s -> %s", ref, got)
 	}
 }

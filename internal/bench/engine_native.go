@@ -73,17 +73,19 @@ func (c *nativeDGEMMCase) NewInvocation(inv int) (Instance, error) {
 	out := blas.NewMatrix(c.n, c.m)
 	a.FillPattern(1.0 + float64(inv)*0.01)
 	b.FillPattern(2.0 + float64(inv)*0.01)
-	return &nativeDGEMMInstance{c: c, a: a, b: b, out: out}, nil
+	pool := parallel.NewPool(c.engine.Threads)
+	return &nativeDGEMMInstance{c: c, a: a, b: b, out: out, pool: pool}, nil
 }
 
 type nativeDGEMMInstance struct {
 	c         *nativeDGEMMCase
 	a, b, out *blas.Matrix
+	pool      *parallel.Pool
 }
 
 func (i *nativeDGEMMInstance) run() {
 	// alpha=1, beta=0 as in the paper's benchmark (§III-A).
-	blas.DGEMM(1.0, i.a, i.b, 0.0, i.out, i.c.engine.Threads)
+	blas.DGEMM(1.0, i.a, i.b, 0.0, i.out, i.pool)
 }
 
 func (i *nativeDGEMMInstance) Warmup() { i.run() }
@@ -96,7 +98,10 @@ func (i *nativeDGEMMInstance) Work() float64 {
 	return units.DGEMMFlops(i.c.n, i.c.m, i.c.k)
 }
 
-func (i *nativeDGEMMInstance) Close() { i.a, i.b, i.out = nil, nil, nil }
+func (i *nativeDGEMMInstance) Close() {
+	i.pool.Close()
+	i.a, i.b, i.out = nil, nil, nil
+}
 
 type nativeTriadCase struct {
 	engine *NativeEngine

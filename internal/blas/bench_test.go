@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rooftune/internal/parallel"
 	"rooftune/internal/units"
 )
 
@@ -12,6 +13,7 @@ import (
 // native engine relies on.
 
 func benchDGEMM(b *testing.B, n, threads int) {
+	pool := newTestPool(b, threads)
 	a := NewMatrix(n, n)
 	bb := NewMatrix(n, n)
 	c := NewMatrix(n, n)
@@ -19,7 +21,7 @@ func benchDGEMM(b *testing.B, n, threads int) {
 	bb.FillPattern(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DGEMM(1, a, bb, 0, c, threads)
+		DGEMM(1, a, bb, 0, c, pool)
 	}
 	b.ReportMetric(units.DGEMMFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -27,7 +29,7 @@ func benchDGEMM(b *testing.B, n, threads int) {
 func BenchmarkDGEMMBlocked(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		b.Run(fmt.Sprintf("n%d-serial", n), func(b *testing.B) { benchDGEMM(b, n, 1) })
-		b.Run(fmt.Sprintf("n%d-parallel", n), func(b *testing.B) { benchDGEMM(b, n, 0) })
+		b.Run(fmt.Sprintf("n%d-parallel", n), func(b *testing.B) { benchDGEMM(b, n, parallel.DefaultThreads()) })
 	}
 }
 
@@ -53,6 +55,7 @@ func BenchmarkDGEMMPaperShapes(b *testing.B) {
 		{500, 512, 16},  // 2000,2048,64 / 4
 		{1000, 128, 32}, // 4000,512,128 / 4
 	}
+	pool := newTestPool(b, parallel.DefaultThreads())
 	for _, s := range shapes {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.n, s.m, s.k), func(b *testing.B) {
 			a := NewMatrix(s.n, s.k)
@@ -62,7 +65,7 @@ func BenchmarkDGEMMPaperShapes(b *testing.B) {
 			bb.FillPattern(2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DGEMM(1, a, bb, 0, c, 0)
+				DGEMM(1, a, bb, 0, c, pool)
 			}
 			b.ReportMetric(units.DGEMMFlops(s.n, s.m, s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

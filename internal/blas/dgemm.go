@@ -7,15 +7,14 @@ import (
 )
 
 // DGEMM computes C <- alpha*A*B + beta*C (Eq. 3 of the paper) with A of
-// shape n x k, B of k x m and C of n x m, using a cache-blocked,
-// goroutine-parallel algorithm with `threads` workers (0 means
-// parallel.DefaultThreads). It panics on shape mismatch, mirroring the
-// contract of cblas_dgemm with invalid arguments.
-func DGEMM(alpha float64, a, b *Matrix, beta float64, c *Matrix, threads int) {
+// shape n x k, B of k x m and C of n x m, using a cache-blocked
+// algorithm whose row panels run on the pool's workers, so a timed call
+// starts no goroutines. It panics on shape mismatch, mirroring the
+// contract of cblas_dgemm with invalid arguments, and on a closed pool,
+// like stream.RunPool: a measurement site must fail loudly rather than
+// time work that did not happen.
+func DGEMM(alpha float64, a, b *Matrix, beta float64, c *Matrix, pool *parallel.Pool) {
 	checkShapes(a, b, c)
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
 	n, m, k := a.Rows, b.Cols, a.Cols
 
 	scaleC(beta, c)
@@ -36,7 +35,7 @@ func DGEMM(alpha float64, a, b *Matrix, beta float64, c *Matrix, threads int) {
 	// Parallelise over row panels of C: each worker owns disjoint C rows,
 	// so no synchronisation on output is needed.
 	rowPanels := (n + mc - 1) / mc
-	parallel.For(rowPanels, threads, func(lo, hi int) {
+	ran := pool.Run(rowPanels, func(lo, hi int) {
 		// Per-worker packed buffers, reused across panels.
 		packedA := make([]float64, mc*kc)
 		packedB := make([]float64, kc*nc)
@@ -54,6 +53,9 @@ func DGEMM(alpha float64, a, b *Matrix, beta float64, c *Matrix, threads int) {
 			}
 		}
 	})
+	if !ran {
+		panic("blas: DGEMM on a closed pool")
+	}
 }
 
 func checkShapes(a, b, c *Matrix) {
@@ -143,11 +145,4 @@ func macroKernel(alpha float64, pa, pb []float64, c *Matrix, i0, j0, ib, jb, kb 
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

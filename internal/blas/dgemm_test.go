@@ -6,8 +6,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rooftune/internal/parallel"
 	"rooftune/internal/xrand"
 )
+
+// newTestPool returns a pool of the given size that is closed when the
+// test ends.
+func newTestPool(t testing.TB, workers int) *parallel.Pool {
+	pool := parallel.NewPool(workers)
+	t.Cleanup(pool.Close)
+	return pool
+}
 
 // DGEMMNaive is the triple-loop reference implementation, the oracle the
 // tests check the blocked kernel against. It is deliberately simple
@@ -98,7 +107,7 @@ func TestDGEMMKnownProduct(t *testing.T) {
 	b := NewMatrix(2, 2)
 	copy(b.Data, []float64{5, 6, 7, 8})
 	c := NewMatrix(2, 2)
-	DGEMM(1, a, b, 0, c, 1)
+	DGEMM(1, a, b, 0, c, newTestPool(t, 1))
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -111,6 +120,7 @@ func TestDGEMMMatchesNaive(t *testing.T) {
 	// The blocked, packed, parallel kernel must agree with the
 	// triple-loop oracle for arbitrary shapes, strides and scalars.
 	rng := xrand.New(1)
+	pool := newTestPool(t, 3)
 	f := func(nRaw, mRaw, kRaw uint8, alphaRaw, betaRaw int8, strideA, strideB uint8) bool {
 		n := int(nRaw%70) + 1
 		m := int(mRaw%70) + 1
@@ -122,7 +132,7 @@ func TestDGEMMMatchesNaive(t *testing.T) {
 		c0 := randomMatrix(rng, n, m, 0)
 		c1 := clone(c0)
 		DGEMMNaive(alpha, a, b, beta, c0)
-		DGEMM(alpha, a, b, beta, c1, 3)
+		DGEMM(alpha, a, b, beta, c1, pool)
 		return MaxAbsDiff(c0, c1) < 1e-10*float64(k+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -140,7 +150,7 @@ func TestDGEMMLargerThanBlocks(t *testing.T) {
 	c0 := NewMatrix(n, m)
 	c1 := NewMatrix(n, m)
 	DGEMMNaive(1, a, b, 0, c0)
-	DGEMM(1, a, b, 0, c1, 4)
+	DGEMM(1, a, b, 0, c1, newTestPool(t, 4))
 	if d := MaxAbsDiff(c0, c1); d > 1e-9 {
 		t.Fatalf("blocked kernel diverges from oracle: max diff %v", d)
 	}
@@ -150,13 +160,14 @@ func TestDGEMMBetaSemantics(t *testing.T) {
 	rng := xrand.New(3)
 	a := randomMatrix(rng, 8, 8, 0)
 	b := randomMatrix(rng, 8, 8, 0)
+	pool := newTestPool(t, 2)
 
 	// beta=0 must overwrite even NaN-poisoned C (BLAS convention).
 	c := NewMatrix(8, 8)
 	for i := range c.Data {
 		c.Data[i] = math.NaN()
 	}
-	DGEMM(1, a, b, 0, c, 2)
+	DGEMM(1, a, b, 0, c, pool)
 	for i, v := range c.Data {
 		if math.IsNaN(v) {
 			t.Fatalf("beta=0 must clear NaN at %d", i)
@@ -166,7 +177,7 @@ func TestDGEMMBetaSemantics(t *testing.T) {
 	// beta=1 accumulates.
 	c1 := fill(NewMatrix(8, 8), 2)
 	c2 := clone(c1)
-	DGEMM(1, a, b, 1, c1, 2)
+	DGEMM(1, a, b, 1, c1, pool)
 	DGEMMNaive(1, a, b, 1, c2)
 	if d := MaxAbsDiff(c1, c2); d > 1e-12 {
 		t.Fatalf("beta=1 mismatch: %v", d)
@@ -177,7 +188,7 @@ func TestDGEMMAlphaZeroScalesOnly(t *testing.T) {
 	a := fill(NewMatrix(4, 4), math.Inf(1)) // must never be touched when alpha == 0
 	b := fill(NewMatrix(4, 4), 1)
 	c := fill(NewMatrix(4, 4), 3)
-	DGEMM(0, a, b, 0.5, c, 1)
+	DGEMM(0, a, b, 0.5, c, newTestPool(t, 1))
 	for i, v := range c.Data {
 		if v != 1.5 {
 			t.Fatalf("c[%d] = %v, want 1.5", i, v)
@@ -194,22 +205,37 @@ func TestDGEMMShapePanic(t *testing.T) {
 			t.Fatal("shape mismatch must panic")
 		}
 	}()
-	DGEMM(1, a, b, 0, c, 1)
+	DGEMM(1, a, b, 0, c, newTestPool(t, 1))
 }
 
+// TestDGEMMThreadCountIrrelevantToResult: the pool's worker count only
+// decides which worker computes which row panels, never a value, so
+// every pool size yields bit-identical C. The matrix spans five row
+// panels, so each pool above one worker really splits the work.
 func TestDGEMMThreadCountIrrelevantToResult(t *testing.T) {
 	rng := xrand.New(4)
-	a := randomMatrix(rng, 33, 65, 0)
+	a := randomMatrix(rng, 520, 65, 0)
 	b := randomMatrix(rng, 65, 47, 0)
-	ref := NewMatrix(33, 47)
-	DGEMM(1, a, b, 0, ref, 1)
-	for _, threads := range []int{2, 5, 16} {
-		c := NewMatrix(33, 47)
-		DGEMM(1, a, b, 0, c, threads)
+	ref := NewMatrix(520, 47)
+	DGEMM(1, a, b, 0, ref, newTestPool(t, 1))
+	for _, workers := range []int{2, 5, 16} {
+		c := NewMatrix(520, 47)
+		DGEMM(1, a, b, 0, c, newTestPool(t, workers))
 		if d := MaxAbsDiff(ref, c); d != 0 {
-			t.Fatalf("threads=%d changed the result by %v", threads, d)
+			t.Fatalf("a %d-worker pool changed the result by %v", workers, d)
 		}
 	}
+}
+
+func TestDGEMMClosedPoolPanics(t *testing.T) {
+	pool := parallel.NewPool(2)
+	pool.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DGEMM on a closed pool must panic, not skip or re-time the work")
+		}
+	}()
+	DGEMM(1, NewMatrix(4, 4), NewMatrix(4, 4), 0, NewMatrix(4, 4), pool)
 }
 
 func TestMaxAbsDiffShapePanic(t *testing.T) {
@@ -225,5 +251,5 @@ func TestZeroDimensionNoPanic(t *testing.T) {
 	a := NewMatrix(0, 5)
 	b := NewMatrix(5, 0)
 	c := NewMatrix(0, 0)
-	DGEMM(1, a, b, 0, c, 2) // must not panic
+	DGEMM(1, a, b, 0, c, newTestPool(t, 2)) // must not panic
 }

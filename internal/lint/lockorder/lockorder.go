@@ -2,7 +2,7 @@
 // a consistent intra-package lock acquisition order, and no blocking
 // operations while a lock is held.
 //
-// internal/serve and its subpackages (jobs, cache, budget) each hold
+// internal/serve and its subpackages (admit, jobs, cache, metrics) each hold
 // one or more mutexes, and internal/parallel guards its pool lifecycle
 // with another; PR 7 made them all load-bearing under concurrent HTTP
 // traffic. Deadlocks need two ingredients: inconsistent acquisition
@@ -47,7 +47,6 @@ var lockedPackages = []string{
 	"internal/serve/admit",
 	"internal/serve/jobs",
 	"internal/serve/cache",
-	"internal/serve/budget",
 	"internal/serve/metrics",
 	"internal/parallel",
 	"internal/dist",
@@ -335,7 +334,7 @@ func (w *walker) mutexOp(call *ast.CallExpr) (id, op string, ok bool) {
 func (w *walker) lockID(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.SelectorExpr:
-		// j.mu, l.budget.mu, ... : identity is the owning type + field,
+		// j.mu, p.closeMu, ... : identity is the owning type + field,
 		// so every instance of the type shares one ordering node.
 		if t := w.pass.TypesInfo.Types[x.X].Type; t != nil {
 			if named := namedOf(t); named != nil {

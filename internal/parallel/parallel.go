@@ -44,29 +44,6 @@ func StaticPartition(n, p int) []Range {
 	return ranges
 }
 
-// For runs body(lo, hi) over a static partition of [0, n) using p
-// goroutines and waits for completion. With p <= 1 the body runs inline.
-func For(n, p int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	ranges := StaticPartition(n, p)
-	if len(ranges) == 1 {
-		body(ranges[0].Lo, ranges[0].Hi)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(ranges) - 1)
-	for _, r := range ranges[1:] {
-		go func(r Range) {
-			defer wg.Done()
-			body(r.Lo, r.Hi)
-		}(r)
-	}
-	body(ranges[0].Lo, ranges[0].Hi)
-	wg.Wait()
-}
-
 // DefaultThreads returns the degree of parallelism used by the native
 // kernels: GOMAXPROCS, the Go analogue of OMP_NUM_THREADS.
 func DefaultThreads() int { return runtime.GOMAXPROCS(0) }

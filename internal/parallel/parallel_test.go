@@ -53,23 +53,9 @@ func TestStaticPartitionPanics(t *testing.T) {
 	StaticPartition(10, 0)
 }
 
-func TestForSums(t *testing.T) {
-	const n = 100000
-	var sum int64
-	For(n, 8, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			local += int64(i)
-		}
-		atomic.AddInt64(&sum, local)
-	})
-	want := int64(n) * (n - 1) / 2
-	if sum != want {
-		t.Fatalf("For sum = %d, want %d", sum, want)
-	}
-}
-
-func TestForSerialEquivalence(t *testing.T) {
+func TestPoolSerialEquivalence(t *testing.T) {
+	// Every index is written by exactly one block, so a one-worker pool
+	// and an eight-worker pool produce the same output.
 	out1 := make([]int, 1000)
 	out8 := make([]int, 1000)
 	body := func(out []int) func(lo, hi int) {
@@ -79,8 +65,14 @@ func TestForSerialEquivalence(t *testing.T) {
 			}
 		}
 	}
-	For(1000, 1, body(out1))
-	For(1000, 8, body(out8))
+	for _, run := range []struct {
+		workers int
+		out     []int
+	}{{1, out1}, {8, out8}} {
+		pool := NewPool(run.workers)
+		pool.Run(len(run.out), body(run.out))
+		pool.Close()
+	}
 	for i := range out1 {
 		if out1[i] != out8[i] {
 			t.Fatalf("parallel result differs at %d", i)
@@ -88,9 +80,13 @@ func TestForSerialEquivalence(t *testing.T) {
 	}
 }
 
-func TestForZeroWork(t *testing.T) {
+func TestPoolZeroWork(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
 	called := false
-	For(0, 4, func(lo, hi int) { called = true })
+	if !pool.Run(0, func(lo, hi int) { called = true }) {
+		t.Fatal("an empty batch on an open pool must report that it ran")
+	}
 	if called {
 		t.Fatal("body must not run for n=0")
 	}

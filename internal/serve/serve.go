@@ -11,12 +11,13 @@
 // rejected: wall-clock measurements are not content-addressable (the
 // same campaign legitimately yields different numbers run to run).
 //
-// Concurrent identical submissions collapse onto one run (singleflight
-// via the jobs registry), concurrent distinct campaigns divide the host
-// under a shared parallelism budget instead of each assuming the whole
-// machine, and an admission controller bounds how many runs execute and
-// wait at once — excess load is shed deterministically with 429 +
-// Retry-After rather than queued without bound.
+// Each request builds one Session: it fingerprints it to find the cache
+// entry and, on a miss, runs that same session, so a campaign is planned
+// once whether it hits or misses. Concurrent identical submissions
+// collapse onto one run (singleflight via the jobs registry), and an
+// admission controller bounds how many runs execute and wait at once —
+// excess load is shed deterministically with 429 + Retry-After rather
+// than queued without bound.
 //
 // With workers configured (Config.Workers), the daemon additionally
 // runs as the distributed tier's coordinator: cache and admission stay
@@ -45,7 +46,6 @@ import (
 	"rooftune"
 	"rooftune/internal/dist"
 	"rooftune/internal/serve/admit"
-	"rooftune/internal/serve/budget"
 	"rooftune/internal/serve/cache"
 	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/jobs"
@@ -66,9 +66,6 @@ type Config struct {
 	// than this are not cached — they are cheaper to recompute than to
 	// hold an eviction slot (<=0: everything is cached).
 	CacheMinRun time.Duration
-	// Parallelism is the host-parallelism capacity divided among
-	// concurrent runs (<=0: GOMAXPROCS).
-	Parallelism int
 	// MaxJobs bounds concurrently running jobs (<=0: unlimited, which
 	// also disables queuing and shedding).
 	MaxJobs int
@@ -99,15 +96,14 @@ type Config struct {
 }
 
 // Server is the daemon: routing, the job registry, the result cache,
-// the admission controller, the shared host budget and the metrics
-// plane. Construct with New, mount via Handler, and cancel the context
-// passed to New to abort every in-flight run on shutdown.
+// the admission controller and the metrics plane. Construct with New,
+// mount via Handler, and cancel the context passed to New to abort
+// every in-flight run on shutdown.
 type Server struct {
 	base    context.Context
 	cfg     Config
 	cache   *cache.Cache
 	reg     *jobs.Registry
-	budget  *budget.Budget
 	adm     *admit.Controller
 	metrics *metrics.Set
 	dist    *dist.Coordinator // nil unless Config.Workers is set
@@ -133,7 +129,6 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cache:   c,
 		reg:     jobs.NewRegistry(),
-		budget:  budget.New(cfg.Parallelism),
 		metrics: metrics.NewSet(),
 	}
 	waitHist := s.metrics.Histogram("roofserve_admission_wait_seconds",
@@ -203,15 +198,6 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("roofserve_admission_queue_depth", "",
 		"Admitted jobs currently waiting for a run slot.",
 		func() float64 { return float64(s.adm.Stats().Queued) })
-	m.GaugeFunc("roofserve_budget_capacity", "",
-		"Host-parallelism capacity divided among concurrent runs.",
-		func() float64 { return float64(s.budget.Capacity()) })
-	m.GaugeFunc("roofserve_budget_active", "",
-		"Outstanding host-parallelism leases.",
-		func() float64 { return float64(s.budget.Active()) })
-	m.CounterFunc("roofserve_budget_contended_total", "",
-		"Lease acquisitions that shared the host with other active runs.",
-		func() uint64 { return s.budget.Contended() })
 }
 
 // Handler returns the daemon's HTTP API:
@@ -222,7 +208,7 @@ func (s *Server) registerMetrics() {
 //	GET    /v1/jobs/{id}/events SSE stream of the job's progress events
 //	DELETE /v1/jobs/{id}        cancel a job
 //	GET    /v1/healthz          liveness
-//	GET    /v1/stats            cache / admission / budget / registry counters
+//	GET    /v1/stats            cache / admission / registry counters
 //	GET    /metrics             Prometheus text-format exposition
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -261,43 +247,56 @@ func clientID(r *http.Request) string {
 // buffer an unbounded body before the parser can reject it.
 const maxCampaignBytes = 1 << 20
 
-// resolve parses a campaign (at most maxCampaignBytes of body) and
-// computes its fingerprint — the cache key and singleflight identity.
-// The throwaway session exists only to fingerprint, which renders the
-// plan its New already built, so a cache hit plans the campaign once;
-// each run builds its own session (a Session executes one Run at a
-// time, and the run's session carries the job's progress hook and
-// budget lease). The parsed wire campaign rides along because in
-// coordinator mode it crosses to the workers verbatim, addressed by
-// this same key.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (key string, camp servev1.Campaign, opts []rooftune.Option, err error) {
-	camp, err = campaign.Parse(http.MaxBytesReader(w, r.Body, maxCampaignBytes))
-	if err != nil {
-		return "", camp, nil, err
-	}
-	opts, err = campaign.Options(camp)
-	if err != nil {
-		return "", camp, nil, err
-	}
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		return "", camp, nil, fmt.Errorf("serve: invalid campaign: %w", err)
-	}
-	key, err = sess.Fingerprint()
-	if err != nil {
-		return "", camp, nil, fmt.Errorf("serve: fingerprint: %w", err)
-	}
-	return key, camp, opts, nil
+// request is one resolved campaign: its fingerprint, the parsed wire
+// campaign and the session that computed the fingerprint. A miss runs
+// that same session, so the campaign is planned once. The session's
+// progress hook is emit, which forwards to job; launch sets job before
+// the run starts, and a hit never runs the session.
+type request struct {
+	key  string
+	camp servev1.Campaign
+	sess *rooftune.Session
+	job  *jobs.Job
 }
 
-// launch returns the in-flight job for the fingerprint, starting a run
-// if none exists. Exactly one concurrent caller per fingerprint passes
-// admission and starts a run; the rest join whatever admission decided
-// — including a shed (an identical flood costs one admission slot, not
-// N). A shed job is terminal immediately, so every joiner observes the
-// refusal and a later resubmission gets a fresh admission attempt.
-func (s *Server) launch(key, client string, camp servev1.Campaign, opts []rooftune.Option) *jobs.Job {
-	job, created := s.reg.GetOrCreate(key)
+// emit is the request session's progress hook.
+func (q *request) emit(ev rooftune.Event) { q.job.Emit(ev) }
+
+// resolve parses a campaign (at most maxCampaignBytes of body), builds
+// its session and computes the fingerprint — the cache key and
+// singleflight identity. Fingerprint renders the plan New already
+// built, and a miss executes that plan, so every request plans once.
+// The parsed wire campaign rides along because in coordinator mode it
+// crosses to the workers verbatim, addressed by this same key.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*request, error) {
+	camp, err := campaign.Parse(http.MaxBytesReader(w, r.Body, maxCampaignBytes))
+	if err != nil {
+		return nil, err
+	}
+	opts, err := campaign.Options(camp)
+	if err != nil {
+		return nil, err
+	}
+	q := &request{camp: camp}
+	if q.sess, err = rooftune.New(append(opts, rooftune.WithProgress(q.emit))...); err != nil {
+		return nil, fmt.Errorf("serve: invalid campaign: %w", err)
+	}
+	if q.key, err = q.sess.Fingerprint(); err != nil {
+		return nil, fmt.Errorf("serve: fingerprint: %w", err)
+	}
+	return q, nil
+}
+
+// launch returns the in-flight job for the request's fingerprint,
+// starting a run of the request's session if none exists. Exactly one
+// concurrent caller per fingerprint passes admission and starts a run;
+// the rest join whatever admission decided — including a shed (an
+// identical flood costs one admission slot, not N) — and their sessions
+// are dropped unrun. A shed job is terminal immediately, so every joiner
+// observes the refusal and a later resubmission gets a fresh admission
+// attempt.
+func (s *Server) launch(q *request, client string) *jobs.Job {
+	job, created := s.reg.GetOrCreate(q.key)
 	if !created {
 		return job
 	}
@@ -315,45 +314,36 @@ func (s *Server) launch(key, client string, camp servev1.Campaign, opts []rooftu
 	// Arm before the goroutine runs: a job cancelled while it waits in
 	// the admission queue must release its ticket, not its run.
 	job.Arm(cancel)
+	q.job = job
 	//rooflint:allow nogoroutine -- job executor; bounded by s.base, joined by job.Wait/terminal state before anyone reads the result
-	go s.run(ctx, cancel, job, ticket, camp, opts)
+	go s.run(ctx, cancel, q, ticket)
 	return job
 }
 
 // run executes one job: wait out the admission queue, move the job to
-// running, acquire a host-budget lease, build the job's session
-// (progress wired to the job's event history, host parallelism capped
-// to the lease's share), run it locally or through the fleet, serialize,
-// cache, finish.
-func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.Job, ticket *admit.Ticket, camp servev1.Campaign, opts []rooftune.Option) {
+// running, run the request's session locally or through the fleet (its
+// progress events land in the job's history), serialize, cache, finish.
+func (s *Server) run(ctx context.Context, cancel context.CancelFunc, q *request, ticket *admit.Ticket) {
 	defer cancel()
+	job := q.job
 	if err := ticket.Wait(ctx); err != nil {
 		job.Fail(fmt.Errorf("serve: job %s: cancelled while queued: %w", job.ID, err))
 		return
 	}
 	defer ticket.Release()
 	job.Start(cancel)
-	lease := s.budget.Acquire()
-	defer lease.Release()
 	started := time.Now()
-	sess, err := rooftune.New(append(opts,
-		rooftune.WithHostParallelism(lease.Share()),
-		rooftune.WithProgress(job.Emit),
-	)...)
-	if err != nil {
-		job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
-		return
-	}
 	var res *rooftune.Result
+	var err error
 	if s.dist != nil {
 		// Coordinator mode: the campaign's plan-graph nodes fan out to
-		// the worker fleet. Neither the lease share nor the progress
-		// hook enters the fingerprint, so job.Key addresses the same
-		// content on the workers as in the cache; nodes that cannot be
-		// placed remotely run locally inside the same schedule.
-		res, err = sess.RunDist(ctx, s.dist.Exec(camp, job.Key))
+		// the worker fleet. The progress hook does not enter the
+		// fingerprint, so job.Key addresses the same content on the
+		// workers as in the cache; nodes that cannot be placed remotely
+		// run locally inside the same schedule.
+		res, err = q.sess.RunDist(ctx, s.dist.Exec(q.camp, job.Key))
 	} else {
-		res, err = sess.Run(ctx)
+		res, err = q.sess.Run(ctx)
 	}
 	if err != nil {
 		job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
@@ -381,17 +371,17 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.J
 // that disconnects while waiting releases its watch; if it was the last
 // watcher, the run is cancelled.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(w, r)
+	q, err := s.resolve(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
 	}
-	w.Header().Set(servev1.FingerprintHeader, key)
-	if data, ok := s.cache.Get(key); ok {
+	w.Header().Set(servev1.FingerprintHeader, q.key)
+	if data, ok := s.cache.Get(q.key); ok {
 		writeResult(w, data, true)
 		return
 	}
-	job := s.launch(key, clientID(r), camp, opts)
+	job := s.launch(q, clientID(r))
 	w.Header().Set(servev1.JobHeader, job.ID)
 	job.AddWatcher()
 	defer job.RemoveWatcher()
@@ -434,14 +424,14 @@ func statusOf(snap jobs.Snapshot) servev1.JobStatus {
 // its handle. A cache hit mints an already-done job so clients have one
 // uniform flow; a shed admission answers 429 like the synchronous path.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(w, r)
+	q, err := s.resolve(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
 	}
-	w.Header().Set(servev1.FingerprintHeader, key)
-	if data, ok := s.cache.Get(key); ok {
-		job, created := s.reg.GetOrCreate(key)
+	w.Header().Set(servev1.FingerprintHeader, q.key)
+	if data, ok := s.cache.Get(q.key); ok {
+		job, created := s.reg.GetOrCreate(q.key)
 		job.Pin()
 		if created {
 			job.Start(func() {})
@@ -451,7 +441,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, statusOf(job.Snapshot()))
 		return
 	}
-	job := s.launch(key, clientID(r), camp, opts)
+	job := s.launch(q, clientID(r))
 	job.Pin()
 	w.Header().Set(servev1.JobHeader, job.ID)
 	snap := job.Snapshot()
@@ -547,11 +537,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats := map[string]any{
 		"cache":     s.cache.Stats(),
 		"admission": s.adm.Stats(),
-		"budget": map[string]any{
-			"capacity":  s.budget.Capacity(),
-			"active":    s.budget.Active(),
-			"contended": s.budget.Contended(),
-		},
 		"jobs": map[string]int{
 			"total":  s.reg.Len(),
 			"active": s.reg.Active(),

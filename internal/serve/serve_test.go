@@ -29,6 +29,11 @@ import (
 // this counter: a hit must move it by exactly zero.
 var kernelExecutions atomic.Int64
 
+// countingPlans counts every Plan call of the counting workload,
+// process-wide, so tests can assert how often a served campaign is
+// planned.
+var countingPlans atomic.Int64
+
 func init() {
 	if err := rooftune.RegisterWorkload(countingWorkload{}); err != nil {
 		panic(err)
@@ -37,13 +42,15 @@ func init() {
 
 // countingWorkload is a deterministic toy bandwidth workload (after
 // examples/custom-workload) whose every kernel execution increments
-// kernelExecutions. It gives the tests an observable measurement count
-// without touching the real engines.
+// kernelExecutions, and every Plan countingPlans. It gives the tests an
+// observable measurement and planning count without touching the real
+// engines.
 type countingWorkload struct{}
 
 func (countingWorkload) Name() string { return "counting" }
 
 func (countingWorkload) Plan(t rooftune.Target, p rooftune.Params) (rooftune.Plan, error) {
+	countingPlans.Add(1)
 	var plan rooftune.Plan
 	if t.IsNative() {
 		return plan, fmt.Errorf("counting: simulated only")
@@ -207,6 +214,27 @@ func TestCacheHitZeroKernelExecutions(t *testing.T) {
 		resp1.Header.Get(servev1.FingerprintHeader) != resp2.Header.Get(servev1.FingerprintHeader) {
 		t.Fatalf("fingerprint headers diverge: %q vs %q",
 			resp1.Header.Get(servev1.FingerprintHeader), resp2.Header.Get(servev1.FingerprintHeader))
+	}
+}
+
+// TestServedCampaignPlansOnce: the daemon runs the session it built to
+// fingerprint the campaign, so a miss plans the campaign exactly once,
+// and so does the cache hit that follows.
+func TestServedCampaignPlansOnce(t *testing.T) {
+	_, ts := newTestServer(t)
+	campaign := `{"system": "Gold 6148", "workloads": ["counting"], "seed": 41}`
+	for _, want := range []string{"miss", "hit"} {
+		before := countingPlans.Load()
+		resp, body := postTune(t, ts.URL, campaign)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", want, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(servev1.CacheHeader); got != want {
+			t.Fatalf("%s = %q, want %q", servev1.CacheHeader, got, want)
+		}
+		if got := countingPlans.Load() - before; got != 1 {
+			t.Fatalf("a served %s planned the campaign %d times, want 1", want, got)
+		}
 	}
 }
 

@@ -178,10 +178,3 @@ func checkShapes(y []float64, a *CSR, x []float64) {
 		panic(fmt.Sprintf("spmv: shape mismatch: A %dx%d, x %d, y %d", a.N, a.N, len(x), len(y)))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

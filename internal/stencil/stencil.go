@@ -81,9 +81,9 @@ func Jacobi5Tiled(dst, src *Grid, tileX, tileY int, pool *parallel.Pool) {
 	ran := pool.Run(bands, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			y0 := 1 + b*tileY
-			y1 := minInt(y0+tileY, ny-1)
+			y1 := min(y0+tileY, ny-1)
 			for x0 := 1; x0 < nx-1; x0 += tileX {
-				x1 := minInt(x0+tileX, nx-1)
+				x1 := min(x0+tileX, nx-1)
 				sweepRows(dst, src, y0, y1, x0, x1)
 			}
 		}
@@ -126,11 +126,4 @@ func checkShapes(dst, src *Grid) {
 	if &dst.Data[0] == &src.Data[0] {
 		panic("stencil: Jacobi5 requires distinct ping-pong buffers")
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,10 +6,9 @@ import (
 	"rooftune/internal/parallel"
 )
 
-// TestRunnerHostClamp pins the Host budget's worker arithmetic: Host
+// TestRunnerHostClamp pins the Host cap's worker arithmetic: Host
 // substitutes for the machine's thread count when the Runner sizes its
-// sweep pool, so a serving tier handing each run a slice of the host
-// bounds its sweep-level concurrency without touching results.
+// sweep pool, so a serial session (Host 1) runs one sweep at a time.
 func TestRunnerHostClamp(t *testing.T) {
 	def := parallel.DefaultThreads()
 	tests := []struct {

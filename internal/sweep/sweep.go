@@ -94,12 +94,10 @@ type Runner struct {
 	// Host is the runner's only parallelism knob: how many sweeps may
 	// run at once (default GOMAXPROCS). 1 runs one sweep at a time and
 	// fails fast; native sessions set it, because concurrent wall-clock
-	// measurement would contend on the host. N runners sharing one
-	// machine under a serving tier's budget are each handed capacity/N,
-	// so they divide the host instead of each sizing pools as if it ran
-	// alone. Host never changes results on simulated engines — sweep
-	// schedules are bit-identical by construction — only how much
-	// hardware the schedule occupies.
+	// measurement would contend on the host, and WithSerial sets it
+	// for debugging. Host never changes results on simulated engines —
+	// sweep schedules are bit-identical by construction — only how
+	// much hardware the schedule occupies.
 	Host int
 	// Hooks observe execution; see Hooks.
 	Hooks Hooks
@@ -125,7 +123,7 @@ type ExecFunc func(ctx context.Context, n Node, seedFrom string, seedValue float
 // no remote worker is live.
 var ErrExecUnavailable = errors.New("sweep: node executor unavailable")
 
-// workerCount resolves sweep-level concurrency: the Host budget when
+// workerCount resolves sweep-level concurrency: the Host cap when
 // set, otherwise the whole machine.
 func (r *Runner) workerCount() int {
 	if r.Host > 0 {

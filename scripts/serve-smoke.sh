@@ -94,11 +94,10 @@ wait "$daemon_pid"
 daemon_pid=""
 
 echo "== start admission-limited daemon (-max-jobs 2 -queue-depth 2)"
-start_daemon flood -addr 127.0.0.1:0 -parallelism 1 \
-  -max-jobs 2 -queue-depth 2 -retry-after 1s
+start_daemon flood -addr 127.0.0.1:0 -max-jobs 2 -queue-depth 2 -retry-after 1s
 
-# A deliberately slow campaign (~2s of simulated measurement under
-# -parallelism 1): four workloads over a 10-point space, serial sweeps,
+# A deliberately slow campaign (~2s of simulated measurement): four
+# workloads over a 10-point space, serial sweeps ("serial": true),
 # high iteration floor, all early-exit bounds disabled. Each flood
 # submission varies the seed so the five campaigns are distinct
 # fingerprints — no singleflight collapse, no cache hits.
@@ -162,7 +161,6 @@ metric "$workdir/m3.txt" 'roofserve_admission_queue_depth' 0
 metric "$workdir/m3.txt" 'roofserve_jobs{state="done"}' 4
 metric "$workdir/m3.txt" 'roofserve_jobs{state="shed"}' 1
 metric "$workdir/m3.txt" 'roofserve_jobs{state="running"}' 0
-metric "$workdir/m3.txt" 'roofserve_budget_active' 0
 
 echo "== graceful shutdown (admission-limited daemon)"
 kill -TERM "$daemon_pid"

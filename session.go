@@ -39,7 +39,6 @@ type settings struct {
 	stencilNX   int
 	stencilNY   int
 	serial      bool
-	hostPar     int
 	progress    func(Event)
 	workloads   []string
 }
@@ -222,11 +221,13 @@ func WithStencilGrid(nx, ny int) Option {
 	}
 }
 
-// WithSerial disables concurrent sweep execution on simulated targets:
-// it is a host-parallelism budget of one, so the session is fully
-// single-threaded. Every sweep owns its engine, clock and noise streams,
-// so parallel results are bit-identical to serial ones (asserted by
-// TestSimulatedParallelDeterminism); WithSerial exists for debugging.
+// WithSerial disables concurrent sweep execution on simulated targets.
+// It is the session's one parallelism cap: one sweep runs at a time, so
+// the session is fully single-threaded (by default up to GOMAXPROCS
+// sweeps run at once). Every sweep owns its engine, clock and noise
+// streams, so parallel results are bit-identical to serial ones
+// (asserted by TestSimulatedParallelDeterminism); WithSerial exists
+// for debugging and for a deterministic progress-event order.
 func WithSerial() Option {
 	return func(s *settings) error {
 		s.serial = true
@@ -248,26 +249,6 @@ func WithSerial() Option {
 func WithProgress(fn func(Event)) Option {
 	return func(s *settings) error {
 		s.progress = fn
-		return nil
-	}
-}
-
-// WithHostParallelism caps the total host parallelism the session's run
-// assumes it owns (default: GOMAXPROCS, i.e. the whole machine; 0 keeps
-// the default): at most that many sweeps run at once. N sessions sharing
-// one host under a serving tier's budget (each handed roughly
-// GOMAXPROCS/N) divide the machine instead of oversubscribing it N-fold.
-// The cap never changes a simulated target's Result — concurrent sweep
-// schedules are bit-identical to serial by construction — so it is
-// deliberately excluded from Fingerprint. On native targets it also
-// bounds the default kernel thread count when WithThreads is unset.
-// Negative caps are rejected.
-func WithHostParallelism(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("rooftune: WithHostParallelism: negative parallelism %d", n)
-		}
-		s.hostPar = n
 		return nil
 	}
 }
@@ -569,14 +550,11 @@ func (s *Session) execute(ctx context.Context, fn func(context.Context, *sweep.R
 }
 
 // newRunner builds the sweep runner every Run entry point (Run, RunDist,
-// RunNode) executes through: one place owns the budget, host budget
-// and hook wiring, so a distributed run's per-node execution is
+// RunNode) executes through: one place owns the budget, sweep
+// concurrency and hook wiring, so a distributed run's per-node execution is
 // the exact machinery a local run uses.
 func (s *Session) newRunner(nodes []sweep.Node, emit func(Event)) *sweep.Runner {
-	runner := &sweep.Runner{
-		Budget: *s.cfg.budget,
-		Host:   s.cfg.hostPar,
-	}
+	runner := &sweep.Runner{Budget: *s.cfg.budget}
 	if s.cfg.serial || s.cfg.native {
 		// Native measurement is wall-clock: concurrent sweeps would
 		// contend on the host.
@@ -633,13 +611,7 @@ func (s *Session) newRunner(nodes []sweep.Node, emit func(Event)) *sweep.Runner 
 // simulated engines are created inside each planned sweep anyway.
 func (s *Session) target() (workload.Target, *Result) {
 	if s.cfg.native {
-		threads := s.cfg.threads
-		if threads == 0 && s.cfg.hostPar > 0 {
-			// The host-parallelism budget bounds the default kernel
-			// thread count too; an explicit WithThreads still wins.
-			threads = s.cfg.hostPar
-		}
-		eng := bench.NewNativeEngine(threads)
+		eng := bench.NewNativeEngine(s.cfg.threads)
 		return workload.Target{Native: eng}, &Result{SystemName: "host", Engine: eng.Name()}
 	}
 	sys := s.cfg.sys
