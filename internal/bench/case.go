@@ -130,8 +130,9 @@ type Instance interface {
 	// Step executes the kernel once and returns the measured elapsed
 	// time, quantised to the timer's resolution.
 	Step() time.Duration
-	// Work returns the work per execution in the case's metric base
-	// units (FLOPs for DGEMM, bytes for TRIAD).
+	// Work returns the work one Step measures in the case's metric base
+	// units (FLOPs for DGEMM, bytes for TRIAD). The evaluator reads it
+	// after Warmup, which may size a batch of executions per Step.
 	Work() float64
 	// Close releases invocation resources.
 	Close()

@@ -6,6 +6,7 @@ import (
 
 	"rooftune/internal/blas"
 	"rooftune/internal/parallel"
+	"rooftune/internal/simstream"
 	"rooftune/internal/stream"
 	"rooftune/internal/units"
 	"rooftune/internal/vclock"
@@ -129,22 +130,60 @@ func (c *nativeTriadCase) NewInvocation(inv int) (Instance, error) {
 	}
 	v := stream.NewVectors(c.elems)
 	pool := parallel.NewPool(c.engine.Threads)
-	return &nativeTriadInstance{c: c, v: v, pool: pool}, nil
+	return &nativeTriadInstance{c: c, v: v, pool: pool, passes: 1}, nil
 }
+
+// maxTriadBatch caps the passes one native TRIAD step batches, as
+// simstream caps its simulated batches.
+const maxTriadBatch = 1 << 24
 
 type nativeTriadInstance struct {
 	c    *nativeTriadCase
 	v    *stream.Vectors
 	pool *parallel.Pool
+	// passes is the number of kernel passes one measured step batches,
+	// sized by Warmup.
+	passes int
 }
 
-func (i *nativeTriadInstance) Warmup() { i.v.RunPool(stream.Triad, i.pool) }
-
-func (i *nativeTriadInstance) Step() time.Duration {
-	return vclock.Time(func() { i.v.RunPool(stream.Triad, i.pool) })
+func (i *nativeTriadInstance) run() {
+	for p := 0; p < i.passes; p++ {
+		i.v.RunPool(stream.Triad, i.pool)
+	}
 }
 
-func (i *nativeTriadInstance) Work() float64 { return units.TriadBytes(i.c.elems) }
+// Warmup runs the unmeasured pre-heat pass and sizes the step's batch.
+// A cache-resident working set finishes a pass in well under the timer's
+// microsecond resolution, which would time it as zero; so while a batch
+// times shorter than simstream.DefaultMinMeasuredPass, Warmup grows it by
+// the factor that timing predicts (by the floor's microsecond count when
+// the batch timed as zero). Each decision takes the fastest of three
+// timings of the batch: one descheduled or cold run must not pass a
+// sub-microsecond batch off as long enough. The L3 and DRAM working sets,
+// whose single pass already lasts that long, keep one pass per step.
+func (i *nativeTriadInstance) Warmup() {
+	const floor = simstream.DefaultMinMeasuredPass
+	i.passes = 1
+	i.run() // pre-heat: first touch of the vectors, the pool's workers awake
+	for i.passes < maxTriadBatch {
+		d := min(vclock.Time(i.run), vclock.Time(i.run), vclock.Time(i.run))
+		if d >= floor {
+			return
+		}
+		grow := int(floor / time.Microsecond)
+		if d > 0 {
+			grow = int((floor + d - 1) / d)
+		}
+		i.passes = min(i.passes*grow, maxTriadBatch)
+	}
+}
+
+func (i *nativeTriadInstance) Step() time.Duration { return vclock.Time(i.run) }
+
+// Work returns the bytes one step moves: the whole batch Warmup sized.
+func (i *nativeTriadInstance) Work() float64 {
+	return units.TriadBytes(i.c.elems) * float64(i.passes)
+}
 
 func (i *nativeTriadInstance) Close() {
 	i.pool.Close()

@@ -7,6 +7,7 @@ import (
 
 	"rooftune/internal/hw"
 	"rooftune/internal/simblas"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/simspmv"
 	"rooftune/internal/simstencil"
 	"rooftune/internal/simstream"
@@ -79,10 +80,46 @@ func (e *SimEngine) TriadCase(elems int, aff hw.Affinity, sockets int) Case {
 	return &simTriadCase{engine: e, elems: elems, aff: aff, sockets: sockets}
 }
 
+// simInstance is one invocation of any simulated case: a sample stream
+// that advances the engine's virtual clock. The stream lives inside the
+// instance by value, so starting an invocation allocates only this.
+type simInstance struct {
+	stream simnoise.Stream
+	clock  *vclock.Virtual
+	work   float64
+}
+
+// invoke starts invocation seed of the configuration at p: it charges
+// the invocation's setup to the clock and returns its instance.
+func (e *SimEngine) invoke(p *simnoise.Point, seed uint64) Instance {
+	e.Clock.Advance(p.Setup)
+	i := &simInstance{clock: e.Clock, work: p.Work}
+	i.stream.Reset(p, seed)
+	return i
+}
+
+func (i *simInstance) Warmup() { i.clock.Advance(i.stream.Warmup()) }
+
+func (i *simInstance) Step() time.Duration {
+	d := i.stream.Step()
+	i.clock.Advance(d)
+	return d
+}
+
+func (i *simInstance) Work() float64 { return i.work }
+func (i *simInstance) Close()        {}
+
+// Every simulated case builds its configuration's simnoise.Point on its
+// first invocation, not when the case is made: planning makes every case
+// of a campaign, and a served cache hit or a fingerprint evaluates none.
+// A case's invocations run one after another, so the lazy point needs no
+// lock.
+
 type simDGEMMCase struct {
 	engine  *SimEngine
 	n, m, k int
 	sockets int
+	point   *simnoise.Point
 }
 
 func (c *simDGEMMCase) Key() string {
@@ -103,32 +140,19 @@ func (c *simDGEMMCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.m <= 0 || c.k <= 0 {
 		return nil, fmt.Errorf("bench: invalid DGEMM dims %s", c.Describe())
 	}
-	si := c.engine.DGEMM().NewInvocation(c.n, c.m, c.k, c.sockets, inv, c.engine.Seed)
-	c.engine.Clock.Advance(si.SetupTime())
-	return &simDGEMMInstance{clock: c.engine.Clock, inv: si}, nil
+	if c.point == nil {
+		p := c.engine.DGEMM().Point(c.n, c.m, c.k, c.sockets)
+		c.point = &p
+	}
+	return c.engine.invoke(c.point, simblas.Seed(c.engine.Seed, c.n, c.m, c.k, c.sockets, inv)), nil
 }
-
-type simDGEMMInstance struct {
-	clock *vclock.Virtual
-	inv   *simblas.Invocation
-}
-
-func (i *simDGEMMInstance) Warmup() { i.clock.Advance(i.inv.WarmupTime()) }
-
-func (i *simDGEMMInstance) Step() time.Duration {
-	d := i.inv.StepTime()
-	i.clock.Advance(d)
-	return d
-}
-
-func (i *simDGEMMInstance) Work() float64 { return i.inv.Work() }
-func (i *simDGEMMInstance) Close()        {}
 
 type simTriadCase struct {
 	engine  *SimEngine
 	elems   int
 	aff     hw.Affinity
 	sockets int
+	point   *simnoise.Point
 }
 
 func (c *simTriadCase) Key() string {
@@ -150,23 +174,9 @@ func (c *simTriadCase) NewInvocation(inv int) (Instance, error) {
 	if c.elems <= 0 {
 		return nil, fmt.Errorf("bench: invalid TRIAD length %d", c.elems)
 	}
-	si := c.engine.Triad().NewInvocation(c.elems, c.aff, c.sockets, inv, c.engine.Seed)
-	c.engine.Clock.Advance(si.SetupTime())
-	return &simTriadInstance{clock: c.engine.Clock, inv: si}, nil
+	if c.point == nil {
+		p := c.engine.Triad().Point(c.elems, c.aff, c.sockets)
+		c.point = &p
+	}
+	return c.engine.invoke(c.point, simstream.Seed(c.engine.Seed, c.elems, c.aff, c.sockets, inv)), nil
 }
-
-type simTriadInstance struct {
-	clock *vclock.Virtual
-	inv   *simstream.Invocation
-}
-
-func (i *simTriadInstance) Warmup() { i.clock.Advance(i.inv.WarmupTime()) }
-
-func (i *simTriadInstance) Step() time.Duration {
-	d := i.inv.StepTime()
-	i.clock.Advance(d)
-	return d
-}
-
-func (i *simTriadInstance) Work() float64 { return i.inv.Work() }
-func (i *simTriadInstance) Close()        {}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,37 @@ func TestNativeEngineTriad(t *testing.T) {
 	}
 	if out.Mean <= 0 {
 		t.Fatalf("native TRIAD bandwidth %v", out.Mean)
+	}
+}
+
+// TestNativeTriadBatchesSubMicrosecondPasses: a cache-resident TRIAD pass
+// is far shorter than the timer's microsecond, so timed alone it reads
+// as zero and the evaluator's 1 ns floor turns it into an impossible
+// bandwidth. Warmup must size a batch of passes that the timer can see,
+// and Work must count the whole batch.
+func TestNativeTriadBatchesSubMicrosecondPasses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("native kernel run")
+	}
+	eng := NewNativeEngine(2)
+	// 3 KiB, the default sweep's smallest working set, and 48 KiB.
+	for _, elems := range []int{128, 2048} {
+		inst, err := eng.TriadCase(elems).NewInvocation(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Warmup()
+		pass := units.TriadBytes(elems)
+		if passes := inst.Work() / pass; passes < 1 || passes != math.Trunc(passes) {
+			t.Fatalf("N=%d: Work %v is not a whole number of %v-byte passes", elems, inst.Work(), pass)
+		}
+		for i := 0; i < 50; i++ {
+			if d := inst.Step(); d <= 0 {
+				t.Fatalf("N=%d step %d timed %v: the batch of %v passes is below the timer's resolution",
+					elems, i, d, inst.Work()/pass)
+			}
+		}
+		inst.Close()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rooftune/internal/parallel"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/simspmv"
 	"rooftune/internal/spmv"
 	"rooftune/internal/vclock"
@@ -22,6 +23,7 @@ type simSpMVCase struct {
 	n, nnz  int
 	chunk   int
 	sockets int
+	point   *simnoise.Point
 }
 
 func (c *simSpMVCase) Key() string {
@@ -42,26 +44,12 @@ func (c *simSpMVCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.nnz <= 0 || c.chunk <= 0 {
 		return nil, fmt.Errorf("bench: invalid SpMV configuration %s", c.Describe())
 	}
-	si := c.engine.SpMV().NewInvocation(c.n, c.nnz, c.chunk, c.sockets, inv, c.engine.Seed)
-	c.engine.Clock.Advance(si.SetupTime())
-	return &simSpMVInstance{clock: c.engine.Clock, inv: si}, nil
+	if c.point == nil {
+		p := c.engine.SpMV().Point(c.n, c.nnz, c.chunk, c.sockets)
+		c.point = &p
+	}
+	return c.engine.invoke(c.point, simspmv.Seed(c.engine.Seed, c.n, c.nnz, c.chunk, c.sockets, inv)), nil
 }
-
-type simSpMVInstance struct {
-	clock *vclock.Virtual
-	inv   *simspmv.Invocation
-}
-
-func (i *simSpMVInstance) Warmup() { i.clock.Advance(i.inv.WarmupTime()) }
-
-func (i *simSpMVInstance) Step() time.Duration {
-	d := i.inv.StepTime()
-	i.clock.Advance(d)
-	return d
-}
-
-func (i *simSpMVInstance) Work() float64 { return i.inv.Work() }
-func (i *simSpMVInstance) Close()        {}
 
 // SpMVCase returns a real CSR SpMV case over a shared read-only matrix.
 // The matrix is built once per sweep by the workload (synthesising it per

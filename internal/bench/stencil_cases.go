@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rooftune/internal/parallel"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/simstencil"
 	"rooftune/internal/stencil"
 	"rooftune/internal/vclock"
@@ -22,6 +23,7 @@ type simStencilCase struct {
 	nx, ny  int
 	tx, ty  int
 	sockets int
+	point   *simnoise.Point
 }
 
 func (c *simStencilCase) Key() string {
@@ -42,26 +44,12 @@ func (c *simStencilCase) NewInvocation(inv int) (Instance, error) {
 	if c.nx < 3 || c.ny < 3 || c.tx <= 0 || c.ty <= 0 {
 		return nil, fmt.Errorf("bench: invalid stencil configuration %s", c.Describe())
 	}
-	si := c.engine.Stencil().NewInvocation(c.nx, c.ny, c.tx, c.ty, c.sockets, inv, c.engine.Seed)
-	c.engine.Clock.Advance(si.SetupTime())
-	return &simStencilInstance{clock: c.engine.Clock, inv: si}, nil
+	if c.point == nil {
+		p := c.engine.Stencil().Point(c.nx, c.ny, c.tx, c.ty, c.sockets)
+		c.point = &p
+	}
+	return c.engine.invoke(c.point, simstencil.Seed(c.engine.Seed, c.nx, c.ny, c.tx, c.ty, c.sockets, inv)), nil
 }
-
-type simStencilInstance struct {
-	clock *vclock.Virtual
-	inv   *simstencil.Invocation
-}
-
-func (i *simStencilInstance) Warmup() { i.clock.Advance(i.inv.WarmupTime()) }
-
-func (i *simStencilInstance) Step() time.Duration {
-	d := i.inv.StepTime()
-	i.clock.Advance(d)
-	return d
-}
-
-func (i *simStencilInstance) Work() float64 { return i.inv.Work() }
-func (i *simStencilInstance) Close()        {}
 
 // StencilCase returns a real Jacobi case. Fresh ping-pong grids are
 // allocated per invocation (process-level repetition); a non-positive

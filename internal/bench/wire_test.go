@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -232,4 +233,36 @@ func BenchmarkConfigCanonical(b *testing.B) {
 			}
 		}
 	}
+}
+
+// FuzzConfigRoundTrip feeds arbitrary bytes to the variant-tagged config
+// decoder. No input may panic, and an accepted config must re-marshal to
+// bytes that decode and re-marshal to themselves. The seed corpus lives
+// in testdata/fuzz/FuzzConfigRoundTrip and also runs in every plain
+// `go test`.
+func FuzzConfigRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg, err := UnmarshalConfig(body)
+		if err != nil || cfg == nil {
+			return // rejected, or the empty envelope of "no config"
+		}
+		first, err := MarshalConfig(cfg)
+		if err != nil {
+			t.Fatalf("marshalling an accepted %#v: %v", cfg, err)
+		}
+		again, err := UnmarshalConfig(first)
+		if err != nil {
+			t.Fatalf("decoding the re-marshalled %s: %v", first, err)
+		}
+		if !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("round trip changed the config:\nsent: %#v\ngot:  %#v", cfg, again)
+		}
+		second, err := MarshalConfig(again)
+		if err != nil {
+			t.Fatalf("marshalling the re-decoded config: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip not idempotent:\nfirst:  %s\nsecond: %s", first, second)
+		}
+	})
 }

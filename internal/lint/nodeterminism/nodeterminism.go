@@ -42,6 +42,7 @@ var deterministicPackages = []string{
 	"internal/sweep",
 	"internal/bench",
 	"internal/simblas",
+	"internal/simnoise",
 	"internal/simspmv",
 	"internal/simstencil",
 	"internal/simstream",

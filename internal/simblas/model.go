@@ -17,9 +17,10 @@
 //   - small dimensions perform poorly (§IV-A), which is what justifies
 //     the paper's search-space reduction,
 //
-// combined with a measurement-noise model (lognormal body, rare spikes,
-// per-invocation shifts, a warm-up ramp) that drives the statistical stop
-// conditions the paper studies.
+// combined with a warm-up ramp and the measurement noise every simulated
+// model shares (simnoise: lognormal body, rare spikes, per-invocation
+// shifts), which drive the statistical stop conditions the paper
+// studies. Point is what the simulator measures for one configuration.
 package simblas
 
 import (
@@ -28,8 +29,8 @@ import (
 	"time"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/units"
-	"rooftune/internal/vclock"
 	"rooftune/internal/xrand"
 )
 
@@ -203,87 +204,48 @@ func (m *Model) SteadyFlops(n, mm, k, sockets int) units.Flops {
 	return units.Flops(float64(m.Peak(sockets)) * m.SteadyEff(n, mm, k, sockets))
 }
 
-// Invocation simulates one benchmark process invocation for a fixed
-// configuration: deterministic given the seed, with its own invocation-
-// level performance shift and warm-up state, mirroring the
-// invocation-level repetition of Georges et al. that the paper adopts.
-type Invocation struct {
-	model   *Model
-	n, m, k int
-	sockets int
-	rng     *xrand.Rand
-	steadyT float64 // seconds per op at steady state for this invocation
-	params  Params
-	ramp    units.Ramp
-	iter    int
-}
-
-// NewInvocation creates the simulator state for invocation number inv of
-// the given configuration. Noise streams are derived by hashing
-// (seed, configuration, invocation), so evaluation order never changes a
-// sample: two techniques that measure the same iteration of the same
-// invocation see the same value, exactly as if replaying a recorded
-// machine.
-func (m *Model) NewInvocation(n, mm, k, sockets, inv int, seed uint64) *Invocation {
+// Point returns the simulated state of one configuration: its
+// steady-state time, warm-up ramp, noise, setup cost and work. It is a
+// pure function of the configuration, so a caller computes it once and
+// streams every invocation from it (see simnoise).
+func (m *Model) Point(n, mm, k, sockets int) simnoise.Point {
 	p := m.ParamsFor(sockets)
-	rng := xrand.New(xrand.Mix(seed, 0xd6e8, uint64(n), uint64(mm), uint64(k),
-		uint64(sockets), uint64(inv)))
 	work := units.DGEMMFlops(n, mm, k)
-	steady := work / float64(m.SteadyFlops(n, mm, k, sockets))
-	// Invocation-level multiplicative shift (allocation layout, thread
-	// placement): lognormal around 1.
-	steady *= rng.LogNormal(0, p.InvSigma)
-	return &Invocation{
-		model: m, n: n, m: mm, k: k, sockets: sockets,
-		rng: rng, steadyT: steady, params: p,
-		ramp: units.WarmupRamp(p.RampDepth, p.RampTau),
+	return simnoise.Point{
+		Noise: simnoise.Noise{
+			IterSigma: p.IterSigma, InvSigma: p.InvSigma,
+			SpikeProb: p.SpikeProb, SpikeScale: p.SpikeScale,
+		},
+		Steady: work / float64(m.SteadyFlops(n, mm, k, sockets)),
+		Passes: 1,
+		Ramp:   units.WarmupRamp(p.RampDepth, p.RampTau),
+		// Loop and timer overhead.
+		Overhead: 2e-6,
+		Setup:    m.setupTime(n, mm, k, sockets),
+		Work:     work,
 	}
 }
 
-// SetupTime returns the virtual cost of process start plus matrix
+// Seed returns the noise seed of invocation inv of a configuration. It
+// hashes (seed, configuration, invocation), so evaluation order never
+// changes a sample: two techniques that measure the same iteration of the
+// same invocation see the same value, exactly as if replaying a recorded
+// machine. This mirrors the invocation-level repetition of Georges et
+// al. that the paper adopts: each invocation has its own performance
+// shift and warm-up state.
+func Seed(seed uint64, n, mm, k, sockets, inv int) uint64 {
+	return xrand.Mix(seed, 0xd6e8, uint64(n), uint64(mm), uint64(k),
+		uint64(sockets), uint64(inv))
+}
+
+// setupTime is the virtual cost of process start plus matrix
 // initialisation: a fixed startup latency plus first-touch of the three
 // matrices at half the socket-local DRAM bandwidth.
-func (inv *Invocation) SetupTime() time.Duration {
+func (m *Model) setupTime(n, mm, k, sockets int) time.Duration {
 	const startup = 3 * time.Millisecond
-	bytes := 8 * (float64(inv.n)*float64(inv.k) +
-		float64(inv.k)*float64(inv.m) +
-		float64(inv.n)*float64(inv.m))
-	bw := float64(inv.model.Sys.TheoreticalBandwidth(inv.sockets)) * 0.5
+	bytes := 8 * (float64(n)*float64(k) +
+		float64(k)*float64(mm) +
+		float64(n)*float64(mm))
+	bw := float64(m.Sys.TheoreticalBandwidth(sockets)) * 0.5
 	return startup + time.Duration(bytes/bw*float64(time.Second))
 }
-
-// WarmupTime simulates the pre-heat DGEMM call (§III-A): it advances the
-// warm-up state and returns the elapsed time of one unmeasured execution.
-func (inv *Invocation) WarmupTime() time.Duration {
-	t := inv.stepRaw()
-	return t
-}
-
-// StepTime returns the elapsed time of the next measured iteration,
-// quantised to gettimeofday resolution.
-func (inv *Invocation) StepTime() time.Duration {
-	return vclock.QuantizeMicro(inv.stepRaw())
-}
-
-func (inv *Invocation) stepRaw() time.Duration {
-	p := &inv.params
-	ramp := inv.ramp.At(inv.iter)
-	inv.iter++
-	t := inv.steadyT / ramp
-	// Lognormal noise body.
-	t *= inv.rng.LogNormal(0, p.IterSigma)
-	// Rare OS-jitter spikes lengthen an iteration.
-	if inv.rng.Bernoulli(p.SpikeProb) {
-		t *= 1 + inv.rng.Gamma(2, p.SpikeScale/2)
-	}
-	// Loop and timer overhead.
-	const overhead = 2e-6
-	d := time.Duration((t + overhead) * float64(time.Second))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
-}
-
-// Work returns the FLOPs of one DGEMM execution of this configuration.
-func (inv *Invocation) Work() float64 { return units.DGEMMFlops(inv.n, inv.m, inv.k) }

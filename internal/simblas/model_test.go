@@ -142,13 +142,13 @@ func TestEffBounds(t *testing.T) {
 
 func TestInvocationDeterminism(t *testing.T) {
 	m := NewModel(hw.IdunE52650v4)
-	a := m.NewInvocation(1000, 4096, 128, 1, 3, 42)
-	b := m.NewInvocation(1000, 4096, 128, 1, 3, 42)
-	if a.SetupTime() != b.SetupTime() || a.WarmupTime() != b.WarmupTime() {
+	pa, a := invocation(m, 1000, 4096, 128, 1, 3, 42)
+	pb, b := invocation(m, 1000, 4096, 128, 1, 3, 42)
+	if pa.Setup != pb.Setup || a.Warmup() != b.Warmup() {
 		t.Fatal("same (config, invocation, seed) must replay identically")
 	}
 	for i := 0; i < 50; i++ {
-		if a.StepTime() != b.StepTime() {
+		if a.Step() != b.Step() {
 			t.Fatalf("step %d diverged", i)
 		}
 	}
@@ -156,12 +156,12 @@ func TestInvocationDeterminism(t *testing.T) {
 
 func TestInvocationStreamsDiffer(t *testing.T) {
 	m := NewModel(hw.IdunE52650v4)
-	a := m.NewInvocation(1000, 4096, 128, 1, 0, 42)
-	b := m.NewInvocation(1000, 4096, 128, 1, 1, 42) // different invocation
-	c := m.NewInvocation(1000, 4096, 128, 1, 0, 43) // different seed
+	_, a := invocation(m, 1000, 4096, 128, 1, 0, 42)
+	_, b := invocation(m, 1000, 4096, 128, 1, 1, 42) // different invocation
+	_, c := invocation(m, 1000, 4096, 128, 1, 0, 43) // different seed
 	same := 0
 	for i := 0; i < 100; i++ {
-		ta, tb, tc := a.StepTime(), b.StepTime(), c.StepTime()
+		ta, tb, tc := a.Step(), b.Step(), c.Step()
 		if ta == tb {
 			same++
 		}
@@ -179,18 +179,18 @@ func TestWarmupRampImprovesPerformance(t *testing.T) {
 	// (on average), and converge toward steady state — the behaviour
 	// behind §III-C4's min_count discussion.
 	m := NewModel(hw.IdunE52695v4)
-	inv := m.NewInvocation(2000, 4096, 128, 1, 0, 7)
-	inv.WarmupTime()
+	_, inv := invocation(m, 2000, 4096, 128, 1, 0, 7)
+	inv.Warmup()
 	var early, late time.Duration
 	const batch = 5
 	for i := 0; i < batch; i++ {
-		early += inv.StepTime()
+		early += inv.Step()
 	}
 	for i := 0; i < 150; i++ {
-		inv.StepTime()
+		inv.Step()
 	}
 	for i := 0; i < batch; i++ {
-		late += inv.StepTime()
+		late += inv.Step()
 	}
 	if late >= early {
 		t.Fatalf("no warm-up ramp: early %v, late %v", early, late)
@@ -243,8 +243,8 @@ func TestPeakUsesVectorGeneration(t *testing.T) {
 
 func TestSetupTimeScalesWithSize(t *testing.T) {
 	m := NewModel(hw.IdunE52650v4)
-	small := m.NewInvocation(500, 512, 64, 1, 0, 1).SetupTime()
-	big := m.NewInvocation(4096, 4096, 2048, 1, 0, 1).SetupTime()
+	small := m.Point(500, 512, 64, 1).Setup
+	big := m.Point(4096, 4096, 2048, 1).Setup
 	if big <= small {
 		t.Fatalf("setup time must grow with matrix size: %v vs %v", small, big)
 	}

@@ -6,7 +6,18 @@ import (
 	"time"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 )
+
+// invocation streams invocation inv of a DGEMM configuration the way the
+// bench layer does: one Point per configuration, one Stream per
+// invocation.
+func invocation(m *Model, n, mm, k, sockets, inv int, seed uint64) (simnoise.Point, *simnoise.Stream) {
+	p := m.Point(n, mm, k, sockets)
+	var s simnoise.Stream
+	s.Reset(&p, Seed(seed, n, mm, k, sockets, inv))
+	return p, &s
+}
 
 func TestEffBoundedForArbitraryDims(t *testing.T) {
 	// The response surface must stay in (0, 1] for any positive input,
@@ -39,12 +50,12 @@ func TestStepTimesPositiveAndFinite(t *testing.T) {
 		n := int(nRaw)%4096 + 1
 		mm := int(mRaw)%4096 + 1
 		k := int(kRaw)%2048 + 1
-		si := m.NewInvocation(n, mm, k, 2, int(inv), seed)
-		if si.SetupTime() <= 0 || si.WarmupTime() <= 0 {
+		p, si := invocation(m, n, mm, k, 2, int(inv), seed)
+		if p.Setup <= 0 || si.Warmup() <= 0 {
 			return false
 		}
 		for i := 0; i < 5; i++ {
-			d := si.StepTime()
+			d := si.Step()
 			if d < time.Microsecond || d > time.Hour {
 				return false
 			}
@@ -62,12 +73,12 @@ func TestMeanTimeTracksWork(t *testing.T) {
 	// depends on.
 	m := NewModel(hw.IdunGold6148)
 	avg := func(k int) float64 {
-		si := m.NewInvocation(2000, 2048, k, 1, 0, 9)
-		si.WarmupTime()
+		_, si := invocation(m, 2000, 2048, k, 1, 0, 9)
+		si.Warmup()
 		var total time.Duration
 		const n = 50
 		for i := 0; i < n; i++ {
-			total += si.StepTime()
+			total += si.Step()
 		}
 		return total.Seconds() / n
 	}

@@ -14,9 +14,10 @@
 //     partially idle and the tail chunk ragged),
 //
 // so the surface has an interior argmax, which is what gives the
-// autotuner something real to find. The same noise family as the other
-// models (lognormal body, rare spikes, per-invocation shift, warm-up
-// ramp) drives the adaptive stop conditions.
+// autotuner something real to find. The noise stream every simulated
+// model shares (simnoise: lognormal body, rare spikes, per-invocation
+// shift), with a warm-up ramp of its own, drives the adaptive stop
+// conditions.
 package simspmv
 
 import (
@@ -24,9 +25,9 @@ import (
 	"time"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/simstream"
 	"rooftune/internal/units"
-	"rooftune/internal/vclock"
 	"rooftune/internal/xrand"
 )
 
@@ -153,75 +154,47 @@ func (m *Model) SteadyFlops(n, nnzPerRow, chunk, sockets int) units.Flops {
 	return units.Flops(flops)
 }
 
-// Invocation simulates one SpMV benchmark process invocation.
-type Invocation struct {
-	model   *Model
-	n, nnz  int // nnz is per-row
-	chunk   int
-	sockets int
-	rng     *xrand.Rand
-	steadyT float64
-	params  Params
-	ramp    units.Ramp
-	iter    int
-}
-
-// NewInvocation creates the deterministic per-invocation state. As in the
-// sibling models, noise streams are derived by hashing (seed,
-// configuration, invocation) so evaluation order never changes a sample.
-func (m *Model) NewInvocation(n, nnzPerRow, chunk, sockets, inv int, seed uint64) *Invocation {
+// Point returns the simulated state of one SpMV configuration: steady
+// pass time, warm-up ramp, noise, setup cost and work. It is a pure
+// function of the configuration, computed once per configuration.
+func (m *Model) Point(n, nnzPerRow, chunk, sockets int) simnoise.Point {
 	p := m.ParamsFor(sockets)
-	rng := xrand.New(xrand.Mix(seed, 0x5b317, uint64(n), uint64(nnzPerRow),
-		uint64(chunk), uint64(sockets), uint64(inv)))
-	steady := Flops(n, nnzPerRow) / float64(m.SteadyFlops(n, nnzPerRow, chunk, sockets))
-	steady *= rng.LogNormal(0, p.InvSigma)
-	return &Invocation{model: m, n: n, nnz: nnzPerRow, chunk: chunk,
-		sockets: sockets, rng: rng, steadyT: steady, params: p,
-		ramp: units.WarmupRamp(p.RampDepth, p.RampTau)}
+	flops := Flops(n, nnzPerRow)
+	return simnoise.Point{
+		Noise: simnoise.Noise{
+			IterSigma: p.IterSigma, InvSigma: p.InvSigma,
+			SpikeProb: p.SpikeProb, SpikeScale: p.SpikeScale,
+		},
+		Steady: flops / float64(m.SteadyFlops(n, nnzPerRow, chunk, sockets)),
+		Passes: 1,
+		Ramp:   units.WarmupRamp(p.RampDepth, p.RampTau),
+		// Parallel-region overhead per pass, as in simstream.
+		Overhead: 5e-7,
+		Setup:    m.setupTime(n, nnzPerRow, sockets),
+		Work:     flops,
+	}
 }
 
-// SetupTime models process start, synthetic-matrix construction (a few
+// Seed returns the noise seed of invocation inv of an SpMV
+// configuration. As in the sibling models it hashes (seed,
+// configuration, invocation), so evaluation order never changes a sample.
+func Seed(seed uint64, n, nnzPerRow, chunk, sockets, inv int) uint64 {
+	return xrand.Mix(seed, 0x5b317, uint64(n), uint64(nnzPerRow),
+		uint64(chunk), uint64(sockets), uint64(inv))
+}
+
+// setupTime models process start, synthetic-matrix construction (a few
 // nanoseconds per stored element) and first-touch of the arrays at half
 // DRAM speed.
-func (inv *Invocation) SetupTime() time.Duration {
+func (m *Model) setupTime(n, nnzPerRow, sockets int) time.Duration {
 	const startup = 3 * time.Millisecond
 	const buildPerNNZ = 25e-9 // column draw + sort amortised
-	nnz := float64(inv.n) * float64(inv.nnz)
-	bw := float64(inv.model.Sys.TheoreticalBandwidth(inv.sockets)) * 0.5
+	nnz := float64(n) * float64(nnzPerRow)
+	bw := float64(m.Sys.TheoreticalBandwidth(sockets)) * 0.5
 	build := nnz * buildPerNNZ
-	touch := Traffic(inv.n, inv.nnz) / bw
+	touch := Traffic(n, nnzPerRow) / bw
 	return startup + time.Duration((build+touch)*float64(time.Second))
 }
-
-// WarmupTime is one unmeasured pass (it also warms the page tables and
-// the x-vector's cache state).
-func (inv *Invocation) WarmupTime() time.Duration { return inv.stepRaw() }
-
-// StepTime returns the next measured pass, at gettimeofday resolution.
-func (inv *Invocation) StepTime() time.Duration {
-	return vclock.QuantizeMicro(inv.stepRaw())
-}
-
-func (inv *Invocation) stepRaw() time.Duration {
-	p := &inv.params
-	ramp := inv.ramp.At(inv.iter)
-	inv.iter++
-	t := inv.steadyT / ramp
-	t *= inv.rng.LogNormal(0, p.IterSigma)
-	if inv.rng.Bernoulli(p.SpikeProb) {
-		t *= 1 + inv.rng.Gamma(2, p.SpikeScale/2)
-	}
-	// Parallel-region overhead per pass, as in simstream.
-	const overhead = 5e-7
-	d := time.Duration((t + overhead) * float64(time.Second))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
-}
-
-// Work returns the FLOPs of one pass.
-func (inv *Invocation) Work() float64 { return Flops(inv.n, inv.nnz) }
 
 // spmvCalibrations holds per-system overrides. The gather efficiencies
 // are slightly higher on the Skylake Golds (larger out-of-order windows

@@ -5,9 +5,20 @@ import (
 	"testing"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/spmv"
 	"rooftune/internal/units"
 )
+
+// invocation streams invocation inv of an SpMV configuration the way the
+// bench layer does: one Point per configuration, one Stream per
+// invocation.
+func invocation(m *Model, n, nnzPerRow, chunk, sockets, inv int, seed uint64) (simnoise.Point, *simnoise.Stream) {
+	p := m.Point(n, nnzPerRow, chunk, sockets)
+	var s simnoise.Stream
+	s.Reset(&p, Seed(seed, n, nnzPerRow, chunk, sockets, inv))
+	return p, &s
+}
 
 func sys(t *testing.T, name string) hw.System {
 	t.Helper()
@@ -98,29 +109,29 @@ func TestInvocationDeterminism(t *testing.T) {
 	s := sys(t, "2650v4")
 	a, b := NewModel(s), NewModel(s)
 	for inv := 0; inv < 3; inv++ {
-		ia := a.NewInvocation(1<<16, 16, 512, 2, inv, 1021)
-		ib := b.NewInvocation(1<<16, 16, 512, 2, inv, 1021)
-		if ia.SetupTime() != ib.SetupTime() {
+		pa, ia := invocation(a, 1<<16, 16, 512, 2, inv, 1021)
+		pb, ib := invocation(b, 1<<16, 16, 512, 2, inv, 1021)
+		if pa.Setup != pb.Setup {
 			t.Fatal("setup times diverge")
 		}
-		if ia.WarmupTime() != ib.WarmupTime() {
+		if ia.Warmup() != ib.Warmup() {
 			t.Fatal("warmup times diverge")
 		}
 		for i := 0; i < 20; i++ {
-			if ta, tb := ia.StepTime(), ib.StepTime(); ta != tb {
+			if ta, tb := ia.Step(), ib.Step(); ta != tb {
 				t.Fatalf("invocation %d step %d: %v != %v", inv, i, ta, tb)
 			}
 		}
-		if ia.Work() != Flops(1<<16, 16) {
-			t.Fatalf("work = %g", ia.Work())
+		if pa.Work != Flops(1<<16, 16) {
+			t.Fatalf("work = %g", pa.Work)
 		}
 	}
 	// A different seed must produce a different stream.
-	ia := a.NewInvocation(1<<16, 16, 512, 2, 0, 1021)
-	ib := b.NewInvocation(1<<16, 16, 512, 2, 0, 1022)
+	_, ia := invocation(a, 1<<16, 16, 512, 2, 0, 1021)
+	_, ib := invocation(b, 1<<16, 16, 512, 2, 0, 1022)
 	same := true
 	for i := 0; i < 10; i++ {
-		if ia.StepTime() != ib.StepTime() {
+		if ia.Step() != ib.Step() {
 			same = false
 		}
 	}

@@ -11,9 +11,10 @@
 //   - tall tiles coarsen the band partition until cores idle.
 //
 // The resulting surface has a unique argmax over any realistic tile
-// grid, so the autotuner has a real optimum to find, and the shared noise
-// family (lognormal body, spikes, invocation shifts, warm-up ramp) drives
-// the adaptive stop conditions.
+// grid, so the autotuner has a real optimum to find, and the noise stream
+// every simulated model shares (simnoise: lognormal body, spikes,
+// invocation shifts), with a warm-up ramp of its own, drives the adaptive
+// stop conditions.
 package simstencil
 
 import (
@@ -21,9 +22,9 @@ import (
 	"time"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/simstream"
 	"rooftune/internal/units"
-	"rooftune/internal/vclock"
 	"rooftune/internal/xrand"
 )
 
@@ -157,67 +158,37 @@ func (m *Model) SteadyFlops(nx, ny, tileX, tileY, sockets int) units.Flops {
 	return units.Flops(flops)
 }
 
-// Invocation simulates one Jacobi benchmark process invocation.
-type Invocation struct {
-	model   *Model
-	nx, ny  int
-	tx, ty  int
-	sockets int
-	rng     *xrand.Rand
-	steadyT float64
-	params  Params
-	ramp    units.Ramp
-	iter    int
-}
-
-// NewInvocation creates the deterministic per-invocation state, hashing
-// (seed, configuration, invocation) as all the simulated models do.
-func (m *Model) NewInvocation(nx, ny, tileX, tileY, sockets, inv int, seed uint64) *Invocation {
+// Point returns the simulated state of one Jacobi configuration: steady
+// sweep time, warm-up ramp, noise, setup cost and work. It is a pure
+// function of the configuration, computed once per configuration.
+func (m *Model) Point(nx, ny, tileX, tileY, sockets int) simnoise.Point {
 	p := m.ParamsFor(sockets)
-	rng := xrand.New(xrand.Mix(seed, 0x57e9c1, uint64(nx), uint64(ny),
-		uint64(tileX), uint64(tileY), uint64(sockets), uint64(inv)))
-	steady := Flops(nx, ny) / float64(m.SteadyFlops(nx, ny, tileX, tileY, sockets))
-	steady *= rng.LogNormal(0, p.InvSigma)
-	return &Invocation{model: m, nx: nx, ny: ny, tx: tileX, ty: tileY,
-		sockets: sockets, rng: rng, steadyT: steady, params: p,
-		ramp: units.WarmupRamp(p.RampDepth, p.RampTau)}
-}
-
-// SetupTime models process start plus first-touch of the two grids at
-// half DRAM speed.
-func (inv *Invocation) SetupTime() time.Duration {
+	flops := Flops(nx, ny)
 	const startup = 3 * time.Millisecond
-	bw := float64(inv.model.Sys.TheoreticalBandwidth(inv.sockets)) * 0.5
-	return startup + time.Duration(Traffic(inv.nx, inv.ny)/bw*float64(time.Second))
-}
-
-// WarmupTime is one unmeasured sweep.
-func (inv *Invocation) WarmupTime() time.Duration { return inv.stepRaw() }
-
-// StepTime returns the next measured sweep, at gettimeofday resolution.
-func (inv *Invocation) StepTime() time.Duration {
-	return vclock.QuantizeMicro(inv.stepRaw())
-}
-
-func (inv *Invocation) stepRaw() time.Duration {
-	p := &inv.params
-	ramp := inv.ramp.At(inv.iter)
-	inv.iter++
-	t := inv.steadyT / ramp
-	t *= inv.rng.LogNormal(0, p.IterSigma)
-	if inv.rng.Bernoulli(p.SpikeProb) {
-		t *= 1 + inv.rng.Gamma(2, p.SpikeScale/2)
+	bw := float64(m.Sys.TheoreticalBandwidth(sockets)) * 0.5
+	return simnoise.Point{
+		Noise: simnoise.Noise{
+			IterSigma: p.IterSigma, InvSigma: p.InvSigma,
+			SpikeProb: p.SpikeProb, SpikeScale: p.SpikeScale,
+		},
+		Steady:   flops / float64(m.SteadyFlops(nx, ny, tileX, tileY, sockets)),
+		Passes:   1,
+		Ramp:     units.WarmupRamp(p.RampDepth, p.RampTau),
+		Overhead: 4e-7,
+		// Process start plus first-touch of the two grids at half DRAM
+		// speed.
+		Setup: startup + time.Duration(Traffic(nx, ny)/bw*float64(time.Second)),
+		Work:  flops,
 	}
-	const overhead = 4e-7
-	d := time.Duration((t + overhead) * float64(time.Second))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
 }
 
-// Work returns the FLOPs of one sweep.
-func (inv *Invocation) Work() float64 { return Flops(inv.nx, inv.ny) }
+// Seed returns the noise seed of invocation inv of a Jacobi
+// configuration, hashing (seed, configuration, invocation) as all the
+// simulated models do.
+func Seed(seed uint64, nx, ny, tileX, tileY, sockets, inv int) uint64 {
+	return xrand.Mix(seed, 0x57e9c1, uint64(nx), uint64(ny),
+		uint64(tileX), uint64(tileY), uint64(sockets), uint64(inv))
+}
 
 // stencilCalibrations holds per-system overrides: stencils sustain a
 // higher fraction of streaming bandwidth than gathers, with the Skylakes

@@ -5,9 +5,20 @@ import (
 	"testing"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/stencil"
 	"rooftune/internal/units"
 )
+
+// invocation streams invocation inv of a Jacobi configuration the way the
+// bench layer does: one Point per configuration, one Stream per
+// invocation.
+func invocation(m *Model, nx, ny, tileX, tileY, sockets, inv int, seed uint64) (simnoise.Point, *simnoise.Stream) {
+	p := m.Point(nx, ny, tileX, tileY, sockets)
+	var s simnoise.Stream
+	s.Reset(&p, Seed(seed, nx, ny, tileX, tileY, sockets, inv))
+	return p, &s
+}
 
 func sys(t *testing.T, name string) hw.System {
 	t.Helper()
@@ -87,18 +98,18 @@ func TestInvocationDeterminism(t *testing.T) {
 	s := sys(t, "Gold 6132")
 	a, b := NewModel(s), NewModel(s)
 	for inv := 0; inv < 3; inv++ {
-		ia := a.NewInvocation(2048, 2048, 512, 32, 1, inv, 1021)
-		ib := b.NewInvocation(2048, 2048, 512, 32, 1, inv, 1021)
-		if ia.SetupTime() != ib.SetupTime() || ia.WarmupTime() != ib.WarmupTime() {
+		pa, ia := invocation(a, 2048, 2048, 512, 32, 1, inv, 1021)
+		pb, ib := invocation(b, 2048, 2048, 512, 32, 1, inv, 1021)
+		if pa.Setup != pb.Setup || ia.Warmup() != ib.Warmup() {
 			t.Fatal("setup/warmup diverge")
 		}
 		for i := 0; i < 20; i++ {
-			if ta, tb := ia.StepTime(), ib.StepTime(); ta != tb {
+			if ta, tb := ia.Step(), ib.Step(); ta != tb {
 				t.Fatalf("invocation %d step %d: %v != %v", inv, i, ta, tb)
 			}
 		}
-		if ia.Work() != Flops(2048, 2048) {
-			t.Fatalf("work = %g", ia.Work())
+		if pa.Work != Flops(2048, 2048) {
+			t.Fatalf("work = %g", pa.Work)
 		}
 	}
 }

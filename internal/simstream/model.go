@@ -1,9 +1,9 @@
 // Package simstream models STREAM TRIAD bandwidth on the paper's systems:
 // which memory subsystem a working set resides in (L1/L2/L3/DRAM), how
-// affinity and socket count change the available channels, and the
-// measurement noise of a bandwidth benchmark. It is the memory-side
-// counterpart of simblas and the substitute for the Xeon nodes' memory
-// hierarchies.
+// affinity and socket count change the available channels, and the noise
+// calibration of a bandwidth benchmark, whose samples simnoise draws from
+// each configuration's Point. It is the memory-side counterpart of
+// simblas and the substitute for the Xeon nodes' memory hierarchies.
 //
 // Calibration targets are Table VI of the paper. Two published behaviours
 // drive the model's shape:
@@ -24,8 +24,8 @@ import (
 	"time"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/units"
-	"rooftune/internal/vclock"
 	"rooftune/internal/xrand"
 )
 
@@ -251,90 +251,56 @@ func clampSockets(s, max int) int {
 	return s
 }
 
-// Invocation simulates one TRIAD benchmark process invocation.
-type Invocation struct {
-	model   *Model
-	elems   int
-	aff     hw.Affinity
-	sockets int
-	rng     *xrand.Rand
-	steadyT float64
-	params  Params
-	iter    int
-	// passes is the number of kernel passes batched into each measured
-	// step (1 unless the model's MinMeasuredPass demands more).
-	passes int
-}
+// The TRIAD warm-up is short: the first pass faults pages and populates
+// caches, and the unmeasured Warmup call absorbs most of it.
+const rampDepth, rampTau = 0.08, 1.2
 
-// NewInvocation creates the deterministic per-invocation state. Noise
-// streams are derived by hashing (seed, configuration, invocation) so
-// evaluation order never changes a sample.
-func (m *Model) NewInvocation(elems int, aff hw.Affinity, sockets, inv int, seed uint64) *Invocation {
+// Point returns the simulated state of one TRIAD configuration: the
+// steady pass time, the passes one measured step batches (see
+// MinMeasuredPass), the noise, the setup cost and the bytes one step
+// moves. It is a pure function of the configuration and the model, so a
+// caller computes it once and streams every invocation from it.
+func (m *Model) Point(elems int, aff hw.Affinity, sockets int) simnoise.Point {
 	p := m.ParamsFor(sockets)
-	rng := xrand.New(xrand.Mix(seed, 0x7421ad, uint64(elems), uint64(aff),
-		uint64(sockets), uint64(inv)))
-	steady := units.TriadBytes(elems) / float64(m.SteadyBandwidth(elems, aff, sockets))
+	bytes := units.TriadBytes(elems)
+	steady := bytes / float64(m.SteadyBandwidth(elems, aff, sockets))
 	passes := 1
 	if min := m.MinMeasuredPass.Seconds(); min > 0 && steady < min {
 		// Batch from the noise-free pass time so the count is a property
-		// of the configuration, not of this invocation's noise draw.
+		// of the configuration, not of an invocation's noise draw.
 		passes = int(math.Ceil(min / steady))
 		if passes > 1<<24 {
 			passes = 1 << 24
 		}
 	}
-	steady *= rng.LogNormal(0, p.InvSigma)
-	return &Invocation{model: m, elems: elems, aff: aff, sockets: sockets,
-		rng: rng, steadyT: steady, params: p, passes: passes}
-}
-
-// SetupTime models process start plus first-touch allocation of the three
-// vectors at half DRAM speed.
-func (inv *Invocation) SetupTime() time.Duration {
 	const startup = 3 * time.Millisecond
-	bytes := units.TriadBytes(inv.elems)
-	bw := inv.model.pureDRAM(inv.sockets) * 0.5
-	return startup + time.Duration(bytes/bw*float64(time.Second))
-}
-
-// WarmupTime is one unmeasured pass (it also warms the cache state).
-func (inv *Invocation) WarmupTime() time.Duration { return inv.stepRaw() }
-
-// StepTime returns the next measured pass, at gettimeofday resolution.
-func (inv *Invocation) StepTime() time.Duration {
-	return vclock.QuantizeMicro(inv.stepRaw())
-}
-
-// The TRIAD warm-up is short: the first pass faults pages and populates
-// caches, and the unmeasured Warmup call absorbs most of it.
-const rampDepth, rampTau = 0.08, 1.2
-
-var warmup = units.WarmupRamp(rampDepth, rampTau)
-
-func (inv *Invocation) stepRaw() time.Duration {
-	ramp := warmup.At(inv.iter)
-	inv.iter++
-	t := inv.steadyT * float64(inv.passes) / ramp
-	t *= inv.rng.LogNormal(0, inv.params.IterSigma)
-	if inv.rng.Bernoulli(inv.params.SpikeProb) {
-		t *= 1 + inv.rng.Gamma(2, inv.params.SpikeScale/2)
+	bw := m.pureDRAM(sockets) * 0.5
+	return simnoise.Point{
+		Noise: simnoise.Noise{
+			IterSigma: p.IterSigma, InvSigma: p.InvSigma,
+			SpikeProb: p.SpikeProb, SpikeScale: p.SpikeScale,
+		},
+		Steady: steady,
+		Passes: passes,
+		Ramp:   units.WarmupRamp(rampDepth, rampTau),
+		// Parallel-region barrier with a persistent spinning team. Small
+		// enough that the L1 sweep points stay above the L2 plateau, yet
+		// it still dominates sub-L1 working sets (which is why the paper
+		// only reports L3 and DRAM).
+		Overhead: 3e-7,
+		// Process start plus first-touch allocation of the three vectors
+		// at half DRAM speed.
+		Setup: startup + time.Duration(bytes/bw*float64(time.Second)),
+		Work:  bytes * float64(passes),
 	}
-	// Parallel-region barrier with a persistent spinning team. Small
-	// enough that the L1 sweep points stay above the L2 plateau, yet it
-	// still dominates sub-L1 working sets (which is why the paper only
-	// reports L3 and DRAM).
-	const overhead = 3e-7
-	d := time.Duration((t + overhead) * float64(time.Second))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
 }
 
-// Work returns the bytes moved by one measured step: one kernel pass, or
-// the whole batch when MinMeasuredPass batched several.
-func (inv *Invocation) Work() float64 {
-	return units.TriadBytes(inv.elems) * float64(inv.passes)
+// Seed returns the noise seed of invocation inv of a TRIAD
+// configuration, hashed from (seed, configuration, invocation) so
+// evaluation order never changes a sample.
+func Seed(seed uint64, elems int, aff hw.Affinity, sockets, inv int) uint64 {
+	return xrand.Mix(seed, 0x7421ad, uint64(elems), uint64(aff),
+		uint64(sockets), uint64(inv))
 }
 
 // streamCalibrations pins Table VI: DRAM and L3 peaks per system for

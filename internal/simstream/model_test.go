@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"rooftune/internal/hw"
+	"rooftune/internal/simnoise"
 	"rooftune/internal/units"
 )
+
+// invocation streams invocation inv of a TRIAD configuration the way the
+// bench layer does: one Point per configuration, one Stream per
+// invocation.
+func invocation(m *Model, elems int, aff hw.Affinity, sockets, inv int, seed uint64) (simnoise.Point, *simnoise.Stream) {
+	p := m.Point(elems, aff, sockets)
+	var s simnoise.Stream
+	s.Reset(&p, Seed(seed, elems, aff, sockets, inv))
+	return p, &s
+}
 
 // regionPeak scans the canonical sweep for the best steady bandwidth in a
 // residency region, mirroring what the tuner reports.
@@ -138,15 +149,15 @@ func TestCloseOnTwoSocketsPenalised(t *testing.T) {
 
 func TestInvocationDeterminismStream(t *testing.T) {
 	m := NewModel(hw.IdunGold6132)
-	a := m.NewInvocation(1<<20, hw.AffinitySpread, 2, 4, 99)
-	b := m.NewInvocation(1<<20, hw.AffinitySpread, 2, 4, 99)
-	if a.SetupTime() != b.SetupTime() {
+	pa, a := invocation(m, 1<<20, hw.AffinitySpread, 2, 4, 99)
+	pb, b := invocation(m, 1<<20, hw.AffinitySpread, 2, 4, 99)
+	if pa.Setup != pb.Setup {
 		t.Fatal("setup must replay")
 	}
-	a.WarmupTime()
-	b.WarmupTime()
+	a.Warmup()
+	b.Warmup()
 	for i := 0; i < 30; i++ {
-		if a.StepTime() != b.StepTime() {
+		if a.Step() != b.Step() {
 			t.Fatalf("step %d diverged", i)
 		}
 	}
@@ -157,12 +168,12 @@ func TestStepMetricNearSteady(t *testing.T) {
 	// (within noise and the small warm-up deficit).
 	m := NewModel(hw.IdunE52650v4)
 	elems := 1 << 22 // ~100 MB: DRAM resident
-	inv := m.NewInvocation(elems, hw.AffinityClose, 1, 0, 1234)
-	inv.WarmupTime()
+	_, inv := invocation(m, elems, hw.AffinityClose, 1, 0, 1234)
+	inv.Warmup()
 	var sum float64
 	const n = 300
 	for i := 0; i < n; i++ {
-		dt := inv.StepTime().Seconds()
+		dt := inv.Step().Seconds()
 		sum += units.TriadBytes(elems) / dt
 	}
 	mean := sum / n
@@ -196,12 +207,12 @@ func TestZeroElementsBandwidth(t *testing.T) {
 // measuredBandwidth runs one invocation's measured steps and returns the
 // mean effective bandwidth (work/time), the quantity the evaluator sees.
 func measuredBandwidth(m *Model, elems, steps int) float64 {
-	inv := m.NewInvocation(elems, hw.AffinityClose, 1, 0, 1021)
-	inv.WarmupTime()
+	p, inv := invocation(m, elems, hw.AffinityClose, 1, 0, 1021)
+	inv.Warmup()
 	var total, work float64
 	for i := 0; i < steps; i++ {
-		total += inv.StepTime().Seconds()
-		work += inv.Work()
+		total += inv.Step().Seconds()
+		work += p.Work
 	}
 	return work / total
 }
@@ -242,17 +253,17 @@ func TestMinMeasuredPassLeavesLongPassesUntouched(t *testing.T) {
 	batched := NewModel(sys)
 	batched.MinMeasuredPass = DefaultMinMeasuredPass
 	elems := 1 << 22 // 96 MiB: DRAM-resident, pass ~1 ms
-	a := plain.NewInvocation(elems, hw.AffinityClose, 1, 0, 1021)
-	b := batched.NewInvocation(elems, hw.AffinityClose, 1, 0, 1021)
-	if a.SetupTime() != b.SetupTime() || a.WarmupTime() != b.WarmupTime() {
+	pa, a := invocation(plain, elems, hw.AffinityClose, 1, 0, 1021)
+	pb, b := invocation(batched, elems, hw.AffinityClose, 1, 0, 1021)
+	if pa.Setup != pb.Setup || a.Warmup() != b.Warmup() {
 		t.Fatal("setup/warmup diverged")
 	}
+	if pa.Work != pb.Work || pb.Passes != 1 {
+		t.Fatalf("work diverged: %v vs %v (%d passes)", pa.Work, pb.Work, pb.Passes)
+	}
 	for i := 0; i < 10; i++ {
-		if sa, sb := a.StepTime(), b.StepTime(); sa != sb {
+		if sa, sb := a.Step(), b.Step(); sa != sb {
 			t.Fatalf("step %d diverged: %v vs %v", i, sa, sb)
-		}
-		if a.Work() != b.Work() {
-			t.Fatal("work diverged")
 		}
 	}
 }
@@ -264,16 +275,16 @@ func TestMinMeasuredPassBatchesDeterministically(t *testing.T) {
 	m := NewModel(sys)
 	m.MinMeasuredPass = DefaultMinMeasuredPass
 	elems := 1 << 10
-	a := m.NewInvocation(elems, hw.AffinityClose, 1, 3, 99)
-	b := m.NewInvocation(elems, hw.AffinityClose, 1, 3, 99)
-	if a.passes <= 1 {
-		t.Fatalf("tiny working set not batched: passes = %d", a.passes)
+	p, a := invocation(m, elems, hw.AffinityClose, 1, 3, 99)
+	_, b := invocation(m, elems, hw.AffinityClose, 1, 3, 99)
+	if p.Passes <= 1 {
+		t.Fatalf("tiny working set not batched: passes = %d", p.Passes)
 	}
-	if got, want := a.Work(), units.TriadBytes(elems)*float64(a.passes); got != want {
+	if got, want := p.Work, units.TriadBytes(elems)*float64(p.Passes); got != want {
 		t.Fatalf("Work = %v, want %v", got, want)
 	}
 	for i := 0; i < 5; i++ {
-		if sa, sb := a.StepTime(), b.StepTime(); sa != sb {
+		if sa, sb := a.Step(), b.Step(); sa != sb {
 			t.Fatalf("equal seeds diverged at step %d", i)
 		}
 	}

@@ -22,10 +22,11 @@ type Clock interface {
 	Advance(d time.Duration)
 }
 
-// Virtual is a deterministic clock advanced explicitly by the simulator.
-// It is safe for concurrent use without a lock: the time is one atomic
-// integer, so Advance is a single atomic add and Now a single load. The
-// simulated measurement loop advances the clock on every kernel step, so
+// Virtual is a deterministic clock advanced explicitly by the simulated
+// engine: every simulated invocation charges its setup, its warm-up and
+// each measured step to its sweep's clock. It is safe for concurrent use
+// without a lock: the time is one atomic integer, so Advance is a single
+// atomic add and Now a single load. Every measured step advances it, so
 // a mutex here would be paid once per sample.
 type Virtual struct {
 	now atomic.Int64 // nanoseconds since the origin

@@ -48,6 +48,15 @@ type Rand struct {
 // authors' recommendation (never seed xoshiro state directly).
 func New(seed uint64) *Rand {
 	var r Rand
+	r.Reset(seed)
+	return &r
+}
+
+// Reset reseeds r in place, exactly as New(seed) would seed a fresh
+// generator, and drops any cached normal variate. It lets a Rand live by
+// value inside a longer-lived struct instead of costing an allocation per
+// stream.
+func (r *Rand) Reset(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -57,7 +66,7 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return &r
+	r.spare, r.hasSpare = 0, false
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -104,7 +113,9 @@ func (r *Rand) Perm(n int) []int {
 
 // Normal returns a standard normal variate via the Box-Muller transform
 // (polar form is avoided to keep the draw count per call deterministic at
-// one uniform pair per two normals).
+// one uniform pair per two normals). The pair's sine and cosine come from
+// one math.Sincos call, which shares math.Sin's and math.Cos's argument
+// reduction and polynomials and so returns the same bits as calling both.
 func (r *Rand) Normal() float64 {
 	if r.hasSpare {
 		r.hasSpare = false
@@ -116,9 +127,10 @@ func (r *Rand) Normal() float64 {
 	}
 	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	r.spare = mag * math.Sin(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.spare = mag * sin
 	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * cos
 }
 
 // LogNormal returns a variate whose logarithm is normal with parameters mu

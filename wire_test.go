@@ -1,6 +1,7 @@
 package rooftune
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -154,4 +155,34 @@ func TestEventJSONRejectsUnknownKind(t *testing.T) {
 	if _, err := json.Marshal(Event{Kind: EventKind(99)}); err == nil {
 		t.Fatal("marshalling an unknown kind must error")
 	}
+}
+
+// FuzzResultUnmarshal feeds arbitrary bytes to the result/v1 decoder. No
+// input may panic, and an accepted Result must re-marshal to bytes that
+// decode and re-marshal to themselves: what a serving tier caches and
+// replays stays fixed after one round. The seed corpus lives in
+// testdata/fuzz/FuzzResultUnmarshal and also runs in every plain
+// `go test`.
+func FuzzResultUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var r Result
+		if err := json.Unmarshal(body, &r); err != nil {
+			return
+		}
+		first, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("marshalling an accepted Result: %v", err)
+		}
+		var again Result
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("decoding the re-marshalled %s: %v", first, err)
+		}
+		second, err := json.Marshal(again)
+		if err != nil {
+			t.Fatalf("marshalling the re-decoded Result: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip not idempotent:\nfirst:  %s\nsecond: %s", first, second)
+		}
+	})
 }
