@@ -3,17 +3,20 @@
 // memoizes every completed Result in a content-addressed cache. A
 // repeated campaign — same system, workloads, space, seed and budget —
 // is answered from the cache byte-for-byte, with zero kernel
-// executions; concurrent identical submissions collapse onto a single
-// run.
+// executions, and a byte-identical repeat is keyed without building a
+// session: the daemon remembers, in memory, the fingerprint it computed
+// for each campaign body it has seen. Concurrent identical submissions
+// collapse onto a single run.
 //
 // Production hardening is configuration: -max-jobs bounds concurrent
 // runs, -queue-depth bounds how many admitted jobs may wait (excess
 // load is shed with 429 + Retry-After and a structured error body),
 // -per-client-queue keeps one client from filling the whole queue
 // (clients identify themselves with the X-Roofserve-Client header),
-// and -cache-ttl / -cache-min-run bound how long and which results the
-// cache keeps. GET /metrics exposes the Prometheus text-format
-// counters operators alert on.
+// -cache-ttl / -cache-min-run bound how long and which results the
+// cache keeps, and -cache-entries bounds both the result cache and the
+// in-memory memo of campaign fingerprints. GET /metrics exposes the
+// Prometheus text-format counters operators alert on.
 //
 // Endpoints (see the README "Serving" section for the campaign schema):
 //
@@ -67,7 +70,7 @@ func splitWorkers(s string) []string {
 func main() {
 	var (
 		addr           = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
-		cacheEntries   = flag.Int("cache-entries", 0, "result-cache capacity in entries (0 = default 256)")
+		cacheEntries   = flag.Int("cache-entries", 0, "result-cache capacity in entries, also the bound of the in-memory campaign-fingerprint memo (0 = default 256)")
 		cacheDir       = flag.String("cache-dir", "", "directory persisting cache entries across restarts (empty = in-memory only)")
 		cacheTTL       = flag.Duration("cache-ttl", 0, "cache entry lifetime; persisted entries honor it across restarts (0 = never expire)")
 		cacheMinRun    = flag.Duration("cache-min-run", 0, "cache admission floor: results measured faster than this are not cached (0 = cache everything)")

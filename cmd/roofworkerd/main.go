@@ -4,10 +4,13 @@
 // dist/v1 contract).
 //
 // Each node spec carries the full wire campaign plus the node id and
-// incumbent seed; the worker rebuilds the session through the same
+// incumbent seed; the worker resolves the campaign through the same
 // resolution path the coordinator fingerprinted, verifies the node
 // fingerprint, and runs exactly that node with the library's normal
-// Session machinery. Execution is idempotent by node fingerprint: a
+// Session machinery. Every node spec of one campaign carries the same
+// campaign bytes, so the worker fingerprints a campaign once (an
+// in-memory memo keyed by those bytes) and builds a session only for a
+// node it measures. Execution is idempotent by node fingerprint: a
 // running node absorbs duplicate dispatches (they join and wait), and
 // completed outcomes are cached so requeued or replayed dispatches —
 // including after a coordinator restart — are answered instantly with
@@ -47,7 +50,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
 		name         = flag.String("name", "", "worker identity reported on heartbeats and outcomes (default: the listen address)")
 		parallelism  = flag.Int("parallelism", 0, "host-parallelism capacity reported on heartbeats and metrics (0 = GOMAXPROCS)")
-		cacheEntries = flag.Int("cache-entries", 0, "completed-node cache capacity in entries (0 = default 256)")
+		cacheEntries = flag.Int("cache-entries", 0, "completed-node cache capacity in entries, also the bound of the in-memory campaign-fingerprint memo (0 = default 256)")
 	)
 	flag.Parse()
 

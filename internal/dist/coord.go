@@ -159,9 +159,10 @@ func (c *Coordinator) Workers() (live, dead int) {
 // Exec returns the node executor that runs camp's plan-graph nodes on
 // the fleet; pass it to the campaign's Session.RunDist. campFP must be
 // the fingerprint of the session camp resolves to — the caller already
-// computed it as its cache key — because workers rebuild the session
-// from the wire campaign and refuse a node whose fingerprint does not
-// match.
+// computed it as its cache key — because workers resolve the wire
+// campaign themselves and refuse a node whose fingerprint does not
+// match. camp is marshalled once, so every node spec of the campaign
+// carries identical bytes and a worker fingerprints it once.
 func (c *Coordinator) Exec(camp servev1.Campaign, campFP string) rooftune.NodeExec {
 	campJSON, err := json.Marshal(camp)
 	return func(ctx context.Context, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {

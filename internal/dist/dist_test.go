@@ -40,16 +40,11 @@ const chainedCampaign = `{
 // resolve builds a campaign's session the way the daemon does,
 // returning the wire form beside it.
 func resolve(body string) (servev1.Campaign, *rooftune.Session, error) {
-	camp, err := campaign.Parse(strings.NewReader(body))
+	built, err := campaign.Build([]byte(body))
 	if err != nil {
-		return camp, nil, err
+		return servev1.Campaign{}, nil, err
 	}
-	opts, err := campaign.Options(camp)
-	if err != nil {
-		return camp, nil, err
-	}
-	sess, err := rooftune.New(opts...)
-	return camp, sess, err
+	return built.Campaign, built.Session, nil
 }
 
 // distRun runs a campaign through the coordinator exactly as the daemon
@@ -540,5 +535,196 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched fingerprint: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// The census workload counts how often a worker plans and fingerprints
+// a campaign. Its plan has three measured nodes beside a sentinel node
+// that no test dispatches: only Fingerprint, which renders every node,
+// reads the sentinel case's config, so sentinelRenders counts
+// fingerprints and censusPlans counts plans (one per session built).
+var (
+	censusPlans     atomic.Int64
+	sentinelRenders atomic.Int64
+)
+
+func init() {
+	if err := rooftune.RegisterWorkload(censusWorkload{}); err != nil {
+		panic(err)
+	}
+}
+
+type censusWorkload struct{}
+
+func (censusWorkload) Name() string { return "distcensus" }
+
+func (censusWorkload) Plan(t rooftune.Target, p rooftune.Params) (rooftune.Plan, error) {
+	censusPlans.Add(1)
+	var plan rooftune.Plan
+	if t.IsNative() {
+		return plan, fmt.Errorf("distcensus: simulated only")
+	}
+	for i, region := range []string{"A", "B", "C", "SENTINEL"} {
+		clock := vclock.NewVirtual()
+		c := &censusCase{clock: clock, sentinel: region == "SENTINEL"}
+		plan.Add(
+			"distcensus/"+region,
+			sweep.Spec{Name: "distcensus " + region, Clock: clock, Cases: []bench.Case{c}},
+			rooftune.Point{Sockets: 1 + i, Region: region},
+		)
+	}
+	return plan, nil
+}
+
+type censusCase struct {
+	clock    *vclock.Virtual
+	sentinel bool
+}
+
+func (c *censusCase) Key() string          { return fmt.Sprintf("distcensus/%t", c.sentinel) }
+func (c *censusCase) Describe() string     { return "distcensus" }
+func (c *censusCase) Metric() bench.Metric { return bench.MetricBandwidth }
+func (c *censusCase) Config() bench.Config {
+	if c.sentinel {
+		sentinelRenders.Add(1)
+	}
+	return bench.TriadConfig{Elements: 1 << 12, Sockets: 1}
+}
+
+func (c *censusCase) NewInvocation(inv int) (bench.Instance, error) {
+	return &censusInstance{clock: c.clock}, nil
+}
+
+type censusInstance struct{ clock *vclock.Virtual }
+
+func (i *censusInstance) Step() time.Duration {
+	i.clock.Advance(time.Millisecond)
+	return time.Millisecond
+}
+
+func (i *censusInstance) Work() float64 { return 1 }
+func (i *censusInstance) Warmup()       { i.Step() }
+func (i *censusInstance) Close()        {}
+
+const censusCampaign = `{"system": "Gold 6148", "workloads": ["distcensus"]}`
+
+// postSpec posts one node spec for the campaign body to the worker and
+// returns the status, the dedupe header and the error (zero on
+// success). fp is the campaign fingerprint the spec's node fingerprint
+// is derived from.
+func postSpec(t *testing.T, w *testWorker, campJSON []byte, fp, nodeID string) (status int, dedupe string, failure distv1.Error) {
+	t.Helper()
+	spec, err := json.Marshal(distv1.NodeSpec{
+		Schema:      distv1.Schema,
+		Campaign:    campJSON,
+		NodeID:      nodeID,
+		Fingerprint: distv1.NodeFingerprint(fp, nodeID, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(w.ts.URL+distv1.PathRun, "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var env distv1.ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, "", env.Error
+	}
+	return resp.StatusCode, resp.Header.Get(distv1.DedupeHeader), distv1.Error{}
+}
+
+// censusSpec resolves the census campaign as a coordinator does: its
+// wire bytes, marshalled once, and its fingerprint.
+func censusSpec(t *testing.T) ([]byte, string) {
+	t.Helper()
+	camp, sess, err := resolve(censusCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sess.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	campJSON, err := json.Marshal(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return campJSON, fp
+}
+
+// TestWorkerFingerprintsCampaignOnce: the node specs of one campaign
+// carry identical campaign bytes, so a worker fingerprints the campaign
+// once however many of its nodes it receives, builds a session only for
+// a node it measures, and answers a replayed node with no session built.
+func TestWorkerFingerprintsCampaignOnce(t *testing.T) {
+	w := startWorker(t, "w", nil)
+	campJSON, fp := censusSpec(t)
+	nodes := []string{"distcensus/A", "distcensus/B", "distcensus/C"}
+	renders0, plans0 := sentinelRenders.Load(), censusPlans.Load()
+	for _, want := range []string{"miss", "hit"} {
+		for _, id := range nodes {
+			status, dedupe, failure := postSpec(t, w, campJSON, fp, id)
+			if status != http.StatusOK || dedupe != want {
+				t.Fatalf("node %s: status %d %+v, dedupe %q; want 200, dedupe %q", id, status, failure, dedupe, want)
+			}
+		}
+		if got := sentinelRenders.Load() - renders0; got != 1 {
+			t.Fatalf("after the %s round the worker fingerprinted the campaign %d times, want 1", want, got)
+		}
+		if got := censusPlans.Load() - plans0; got != int64(len(nodes)) {
+			t.Fatalf("after the %s round the worker planned %d sessions for %d measured nodes", want, got, len(nodes))
+		}
+	}
+	if n := w.w.nodesRun.Load(); n != uint64(len(nodes)) {
+		t.Fatalf("worker measured %d nodes, want %d", n, len(nodes))
+	}
+}
+
+// TestWorkerRejectsTamperedCampaign: campaign bytes that differ from
+// the ones a spec's fingerprint was derived from are resolved afresh,
+// not matched to the memo, so a spec carrying tampered bytes under the
+// stale fingerprint is refused as a bad node and measures nothing.
+func TestWorkerRejectsTamperedCampaign(t *testing.T) {
+	w := startWorker(t, "w", nil)
+	campJSON, fp := censusSpec(t)
+	if status, _, failure := postSpec(t, w, campJSON, fp, "distcensus/A"); status != http.StatusOK {
+		t.Fatalf("genuine spec: status %d %+v", status, failure)
+	}
+	tampered := bytes.Replace(campJSON, []byte(`"system":"Gold 6148"`), []byte(`"system":"Gold 6148","seed":7`), 1)
+	if bytes.Equal(tampered, campJSON) {
+		t.Fatalf("tampering left %s unchanged", campJSON)
+	}
+	for _, id := range []string{"distcensus/A", "distcensus/B"} {
+		status, _, failure := postSpec(t, w, tampered, fp, id)
+		if status != http.StatusBadRequest || failure.Code != distv1.CodeBadNode {
+			t.Fatalf("tampered campaign, node %s: status %d %+v, want 400 %q", id, status, failure, distv1.CodeBadNode)
+		}
+	}
+	if n := w.w.nodesRun.Load(); n != 1 {
+		t.Fatalf("worker measured %d nodes, want only the genuine one", n)
+	}
+}
+
+// TestWorkerInvalidCampaignNotMemoized: campaign bytes that do not
+// resolve are refused as a bad node every time they arrive, each time
+// by resolution itself ("campaign: ..."), never by a fingerprint
+// remembered for them.
+func TestWorkerInvalidCampaignNotMemoized(t *testing.T) {
+	w := startWorker(t, "w", nil)
+	for _, camp := range []string{
+		`{"system":"warp-drive"}`,
+		`{"system":"Gold 6148","workloads":["distcensus"],"typo":1}`,
+	} {
+		for i := 0; i < 2; i++ {
+			status, _, failure := postSpec(t, w, []byte(camp), strings.Repeat("0", 64), "distcensus/A")
+			if status != http.StatusBadRequest || failure.Code != distv1.CodeBadNode || !strings.HasPrefix(failure.Message, "campaign: ") {
+				t.Fatalf("%s, attempt %d: status %d %+v, want 400 %q from resolution", camp, i, status, failure, distv1.CodeBadNode)
+			}
+		}
 	}
 }

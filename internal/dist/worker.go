@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rooftune"
 	distv1 "rooftune/dist/v1"
 	"rooftune/internal/parallel"
 	"rooftune/internal/serve/cache"
@@ -29,9 +27,10 @@ type WorkerConfig struct {
 	// evaluating its cases serially.
 	Parallelism int
 	// CacheEntries bounds the completed-node cache that makes dispatch
-	// idempotent (<=0: the cache default, 256). Entries are small (one
-	// wire outcome each); evicting one only costs a re-measure on
-	// replay.
+	// idempotent, and the in-memory memo of campaign fingerprints (<=0:
+	// the cache default, 256). Entries are small (one wire outcome or
+	// one fingerprint each); evicting one only costs a re-measure or a
+	// re-resolve.
 	CacheEntries int
 }
 
@@ -45,10 +44,13 @@ type runningNode struct {
 	status int
 }
 
-// Worker executes dist/v1 node specs: it rebuilds the session from the
-// wire campaign through the same resolution path the coordinator
-// fingerprinted (internal/serve/campaign), verifies the node
-// fingerprint, and runs the node on that session.
+// Worker executes dist/v1 node specs: it resolves the wire campaign
+// through the same resolution path the coordinator fingerprinted
+// (internal/serve/campaign), verifies the node fingerprint, and runs
+// the node on the campaign's session. The node specs of one campaign
+// carry identical campaign bytes, so the resolver's memo fingerprints a
+// campaign once per worker, and a session is built only for a node the
+// worker actually measures.
 // Completion is idempotent: a running fingerprint is joined, a
 // completed one is answered from the cache — so requeued, duplicated
 // or replayed dispatches (including after a coordinator restart) cost
@@ -66,7 +68,8 @@ type Worker struct {
 	running map[string]*runningNode
 	// done is the completed-node store (fingerprint -> wire outcome),
 	// the same LRU implementation the serving tier caches Results in.
-	done *cache.Cache
+	done      *cache.Cache
+	campaigns *campaign.Resolver
 
 	metrics     *metrics.Set
 	nodesRun    atomic.Uint64
@@ -86,12 +89,13 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 	// Without a persistence directory cache.New cannot fail.
 	done, _ := cache.New(cache.Config{MaxEntries: cfg.CacheEntries})
 	w := &Worker{
-		base:     base,
-		name:     cfg.Name,
-		capacity: cfg.Parallelism,
-		running:  make(map[string]*runningNode),
-		done:     done,
-		metrics:  metrics.NewSet(),
+		base:      base,
+		name:      cfg.Name,
+		capacity:  cfg.Parallelism,
+		running:   make(map[string]*runningNode),
+		done:      done,
+		campaigns: campaign.NewResolver(cfg.CacheEntries),
+		metrics:   metrics.NewSet(),
 	}
 	w.metrics.CounterFunc("roofdist_worker_nodes_total", "",
 		"Node specs measured on this worker (cache hits excluded).",
@@ -176,25 +180,11 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	// verify the fingerprint: a mismatch means this worker would
 	// measure a different session than the coordinator addressed, and
 	// running it would poison the sweep with a wrong-but-plausible
-	// outcome.
-	camp, err := campaign.Parse(bytes.NewReader(spec.Campaign))
+	// outcome. Campaign bytes this worker has resolved before are
+	// fingerprinted from the memo, with no session built (run is nil).
+	campFP, run, err := w.campaigns.Resolve(spec.Campaign)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
-		return
-	}
-	opts, err := campaign.Options(camp)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
-		return
-	}
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
-		return
-	}
-	campFP, err := sess.Fingerprint()
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "fingerprint: %v", err)
 		return
 	}
 	want := distv1.NodeFingerprint(campFP, spec.NodeID, spec.SeedValue)
@@ -230,19 +220,27 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	w.running[want] = rn
 	w.mu.Unlock()
 
-	w.execute(rn, sess, spec, want)
+	w.execute(rn, run, spec, want)
 	w.respond(rw, rn.status, want, false, rn.out)
 }
 
-// execute measures the claimed node on the session handleRun resolved
-// and publishes its terminal state: out/status filled, the outcome
-// stored in the completed cache (successes only — failures are
-// transient) before the fingerprint leaves running, done closed last so
-// joiners observe a fully-written result.
-func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.NodeSpec, fp string) {
-	start := time.Now()
-	out, err := sess.RunNode(w.base, spec.NodeID, spec.SeedValue)
-	w.nodeSeconds.Observe(time.Since(start).Seconds())
+// execute measures the claimed node and publishes its terminal state:
+// out/status filled, the outcome stored in the completed cache
+// (successes only — failures are transient) before the fingerprint
+// leaves running, done closed last so joiners observe a fully-written
+// result. It runs the node on the session handleRun built, or, when the
+// campaign was fingerprinted from the memo (run is nil), builds it now.
+func (w *Worker) execute(rn *runningNode, run *campaign.Resolved, spec distv1.NodeSpec, fp string) {
+	var out *distv1.NodeOutcome
+	var err error
+	if run == nil {
+		run, err = campaign.Build(spec.Campaign)
+	}
+	if err == nil {
+		start := time.Now()
+		out, err = run.Session.RunNode(w.base, spec.NodeID, spec.SeedValue)
+		w.nodeSeconds.Observe(time.Since(start).Seconds())
+	}
 
 	var body []byte
 	if err == nil {

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -50,10 +49,12 @@ func BenchmarkSessionResolve(b *testing.B) {
 // (far below its 1 MiB cap, which no real campaign approaches).
 const maxFuzzCampaign = 4 << 10
 
-// FuzzResolveCampaign drives arbitrary bytes through the daemon's
-// resolution path: parse, resolve options, New, Fingerprint. No input
-// may panic, a session New accepts must fingerprint, and the memoized
-// fingerprint must equal a fresh session's.
+// FuzzResolveCampaign drives arbitrary bytes through the daemons'
+// resolution path, a Resolver: parse, resolve options, New,
+// Fingerprint. No input may panic; bytes that fail to resolve must fail
+// again and never be remembered; resolved bytes must come back from the
+// memo with the same fingerprint and no session, and that fingerprint
+// must equal a fresh session's.
 func FuzzResolveCampaign(f *testing.F) {
 	served, err := json.Marshal(servedCampaign)
 	if err != nil {
@@ -65,30 +66,31 @@ func FuzzResolveCampaign(f *testing.F) {
 		if len(data) > maxFuzzCampaign {
 			return
 		}
-		camp, err := servev1.ParseCampaign(bytes.NewReader(data))
+		r := NewResolver(0)
+		fp, res, err := r.Resolve(data)
 		if err != nil {
+			if _, _, again := r.Resolve(data); again == nil {
+				t.Fatalf("%s failed to resolve (%v), then resolved", data, err)
+			}
+			if n := r.fps.Stats().Entries; n != 0 {
+				t.Fatalf("%s failed to resolve but the memo holds %d entries", data, n)
+			}
 			return
 		}
-		opts, err := Options(camp)
-		if err != nil {
-			return
+		if res == nil {
+			t.Fatalf("first resolution of %s built no session", data)
 		}
-		sess, err := rooftune.New(opts...)
-		if err != nil {
-			return
-		}
-		fp, err := sess.Fingerprint()
-		if err != nil {
-			t.Fatalf("New accepted %s but Fingerprint failed: %v", data, err)
-		}
-		if again, err := sess.Fingerprint(); err != nil || again != fp {
+		if again, err := res.Session.Fingerprint(); err != nil || again != fp {
 			t.Fatalf("memoized Fingerprint = %s, %v; first call %s", again, err, fp)
 		}
-		fresh, err := rooftune.New(opts...)
-		if err != nil {
-			t.Fatalf("second New of %s failed: %v", data, err)
+		if memo, res, err := r.Resolve(data); err != nil || memo != fp || res != nil {
+			t.Fatalf("repeat resolution = %s, %v, built %t; want %s from the memo", memo, err, res != nil, fp)
 		}
-		if got, err := fresh.Fingerprint(); err != nil || got != fp {
+		fresh, err := Build(data)
+		if err != nil {
+			t.Fatalf("Build of resolved bytes %s failed: %v", data, err)
+		}
+		if got, err := fresh.Session.Fingerprint(); err != nil || got != fp {
 			t.Fatalf("fresh session fingerprints %s (%v), memoized %s", got, err, fp)
 		}
 	})

@@ -11,13 +11,16 @@
 // rejected: wall-clock measurements are not content-addressable (the
 // same campaign legitimately yields different numbers run to run).
 //
-// Each request builds one Session: it fingerprints it to find the cache
-// entry and, on a miss, runs that same session, so a campaign is planned
-// once whether it hits or misses. Concurrent identical submissions
-// collapse onto one run (singleflight via the jobs registry), and an
-// admission controller bounds how many runs execute and wait at once —
-// excess load is shed deterministically with 429 + Retry-After rather
-// than queued without bound.
+// Each request is keyed through a campaign.Resolver, which remembers the
+// fingerprint of every campaign body it has resolved: a byte-identical
+// repeat goes straight from the body's digest to the cache lookup, with
+// no session built. Bytes seen for the first time build one Session,
+// whose fingerprint keys the cache and which a miss then runs, so a
+// campaign is planned at most once per request. Concurrent identical
+// submissions collapse onto one run (singleflight via the jobs
+// registry), and an admission controller bounds how many runs execute
+// and wait at once — excess load is shed deterministically with 429 +
+// Retry-After rather than queued without bound.
 //
 // With workers configured (Config.Workers), the daemon additionally
 // runs as the distributed tier's coordinator: cache and admission stay
@@ -38,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -55,7 +59,8 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// CacheEntries bounds the result cache (<=0: the cache default).
+	// CacheEntries bounds the result cache, and the in-memory memo of
+	// campaign fingerprints beside it (<=0: the cache default).
 	CacheEntries int
 	// CacheDir, if set, persists cache entries across daemon restarts.
 	CacheDir string
@@ -100,13 +105,14 @@ type Config struct {
 // mount via Handler, and cancel the context passed to New to abort
 // every in-flight run on shutdown.
 type Server struct {
-	base    context.Context
-	cfg     Config
-	cache   *cache.Cache
-	reg     *jobs.Registry
-	adm     *admit.Controller
-	metrics *metrics.Set
-	dist    *dist.Coordinator // nil unless Config.Workers is set
+	base      context.Context
+	cfg       Config
+	cache     *cache.Cache
+	campaigns *campaign.Resolver // bounded by CacheEntries, like the cache
+	reg       *jobs.Registry
+	adm       *admit.Controller
+	metrics   *metrics.Set
+	dist      *dist.Coordinator // nil unless Config.Workers is set
 }
 
 // New builds a Server. base bounds every job the daemon starts: cancel
@@ -125,11 +131,12 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		base:    base,
-		cfg:     cfg,
-		cache:   c,
-		reg:     jobs.NewRegistry(),
-		metrics: metrics.NewSet(),
+		base:      base,
+		cfg:       cfg,
+		cache:     c,
+		campaigns: campaign.NewResolver(cfg.CacheEntries),
+		reg:       jobs.NewRegistry(),
+		metrics:   metrics.NewSet(),
 	}
 	waitHist := s.metrics.Histogram("roofserve_admission_wait_seconds",
 		"Time admitted jobs spent queued for a run slot.",
@@ -247,42 +254,33 @@ func clientID(r *http.Request) string {
 // buffer an unbounded body before the parser can reject it.
 const maxCampaignBytes = 1 << 20
 
-// request is one resolved campaign: its fingerprint, the parsed wire
-// campaign and the session that computed the fingerprint. A miss runs
-// that same session, so the campaign is planned once. The session's
-// progress hook is emit, which forwards to job; launch sets job before
-// the run starts, and a hit never runs the session.
+// request is one keyed campaign: its fingerprint, its wire body and,
+// once built, the session that runs it. The session's progress hook is
+// emit, which forwards to job; launch sets job before the run starts,
+// and a hit never runs the session.
 type request struct {
 	key  string
-	camp servev1.Campaign
-	sess *rooftune.Session
+	body []byte
+	run  *campaign.Resolved // nil until the request builds its session
 	job  *jobs.Job
 }
 
 // emit is the request session's progress hook.
 func (q *request) emit(ev rooftune.Event) { q.job.Emit(ev) }
 
-// resolve parses a campaign (at most maxCampaignBytes of body), builds
-// its session and computes the fingerprint — the cache key and
-// singleflight identity. Fingerprint renders the plan New already
-// built, and a miss executes that plan, so every request plans once.
-// The parsed wire campaign rides along because in coordinator mode it
-// crosses to the workers verbatim, addressed by this same key.
+// resolve reads a campaign body (at most maxCampaignBytes) and keys it:
+// the fingerprint is the cache key and singleflight identity. A body
+// the daemon has resolved before is keyed from the resolver's memo with
+// no session built; a new body builds the session, which a miss then
+// runs, so it plans once.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*request, error) {
-	camp, err := campaign.Parse(http.MaxBytesReader(w, r.Body, maxCampaignBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCampaignBytes))
 	if err != nil {
+		return nil, fmt.Errorf("serve: read campaign: %w", err)
+	}
+	q := &request{body: body}
+	if q.key, q.run, err = s.campaigns.Resolve(body, rooftune.WithProgress(q.emit)); err != nil {
 		return nil, err
-	}
-	opts, err := campaign.Options(camp)
-	if err != nil {
-		return nil, err
-	}
-	q := &request{camp: camp}
-	if q.sess, err = rooftune.New(append(opts, rooftune.WithProgress(q.emit))...); err != nil {
-		return nil, fmt.Errorf("serve: invalid campaign: %w", err)
-	}
-	if q.key, err = q.sess.Fingerprint(); err != nil {
-		return nil, fmt.Errorf("serve: fingerprint: %w", err)
 	}
 	return q, nil
 }
@@ -291,8 +289,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*request, erro
 // starting a run of the request's session if none exists. Exactly one
 // concurrent caller per fingerprint passes admission and starts a run;
 // the rest join whatever admission decided — including a shed (an
-// identical flood costs one admission slot, not N) — and their sessions
-// are dropped unrun. A shed job is terminal immediately, so every joiner
+// identical flood costs one admission slot, not N) — and build no
+// session, or drop the one they built unrun. A shed job is terminal immediately, so every joiner
 // observes the refusal and a later resubmission gets a fresh admission
 // attempt.
 func (s *Server) launch(q *request, client string) *jobs.Job {
@@ -320,9 +318,10 @@ func (s *Server) launch(q *request, client string) *jobs.Job {
 	return job
 }
 
-// run executes one job: wait out the admission queue, move the job to
-// running, run the request's session locally or through the fleet (its
-// progress events land in the job's history), serialize, cache, finish.
+// run executes one job: wait out the admission queue, build the
+// session if the request was keyed from the memo, move the job to
+// running, run the session locally or through the fleet (its progress
+// events land in the job's history), serialize, cache, finish.
 func (s *Server) run(ctx context.Context, cancel context.CancelFunc, q *request, ticket *admit.Ticket) {
 	defer cancel()
 	job := q.job
@@ -331,6 +330,14 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, q *request,
 		return
 	}
 	defer ticket.Release()
+	if q.run == nil {
+		run, err := campaign.Build(q.body, rooftune.WithProgress(q.emit))
+		if err != nil {
+			job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
+			return
+		}
+		q.run = run
+	}
 	job.Start(cancel)
 	started := time.Now()
 	var res *rooftune.Result
@@ -341,9 +348,9 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, q *request,
 		// fingerprint, so job.Key addresses the same content on the
 		// workers as in the cache; nodes that cannot be placed remotely
 		// run locally inside the same schedule.
-		res, err = q.sess.RunDist(ctx, s.dist.Exec(q.camp, job.Key))
+		res, err = q.run.Session.RunDist(ctx, s.dist.Exec(q.run.Campaign, job.Key))
 	} else {
-		res, err = q.sess.Run(ctx)
+		res, err = q.run.Session.Run(ctx)
 	}
 	if err != nil {
 		job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))

@@ -153,19 +153,11 @@ func TestTuneBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	camp, err := campaign.Parse(strings.NewReader(tinyCampaign))
+	built, err := campaign.Build([]byte(tinyCampaign))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := campaign.Options(camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := sess.Run(context.Background())
+	local, err := built.Session.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,25 +209,99 @@ func TestCacheHitZeroKernelExecutions(t *testing.T) {
 	}
 }
 
-// TestServedCampaignPlansOnce: the daemon runs the session it built to
-// fingerprint the campaign, so a miss plans the campaign exactly once,
-// and so does the cache hit that follows.
+// tunePlans posts a campaign to /v1/tune and returns the response, its
+// body and how many times the daemon planned the campaign, failing
+// unless the request made exactly one result-cache lookup.
+func tunePlans(t *testing.T, srv *Server, base, campaign string) (*http.Response, []byte, int64) {
+	t.Helper()
+	lookups := func() uint64 { st := srv.cache.Stats(); return st.Hits + st.Misses }
+	lookups0, plans0 := lookups(), countingPlans.Load()
+	resp, body := postTune(t, base, campaign)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := lookups() - lookups0; got != 1 {
+		t.Fatalf("one request made %d result-cache lookups, want 1", got)
+	}
+	return resp, body, countingPlans.Load() - plans0
+}
+
+// TestServedCampaignPlansOnce: the daemon plans a campaign only when it
+// has to, and every request makes one result-cache lookup. A miss plans
+// once and runs the session it built to key the request. A
+// byte-identical repeat is keyed from the resolver's memo and plans
+// zero times. A re-encoded body of the same campaign is new bytes, so
+// it plans once and hits the same entry. A repeat whose result is gone
+// (evicted, or never stored) plans once, for the run it needs.
 func TestServedCampaignPlansOnce(t *testing.T) {
-	_, ts := newTestServer(t)
-	campaign := `{"system": "Gold 6148", "workloads": ["counting"], "seed": 41}`
-	for _, want := range []string{"miss", "hit"} {
-		before := countingPlans.Load()
-		resp, body := postTune(t, ts.URL, campaign)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", want, resp.StatusCode, body)
+	const (
+		campaign  = `{"system": "Gold 6148", "workloads": ["counting"], "seed": 41}`
+		reencoded = `{ "seed":41,
+			"workloads":["counting"],	"system":"Gold 6148" }`
+		other = `{"system": "Gold 6148", "workloads": ["counting"], "seed": 43}`
+	)
+	expect := func(t *testing.T, what string, resp *http.Response, plans int64, cache string, wantPlans int64) {
+		t.Helper()
+		if got := resp.Header.Get(servev1.CacheHeader); got != cache {
+			t.Fatalf("%s: %s = %q, want %q", what, servev1.CacheHeader, got, cache)
 		}
-		if got := resp.Header.Get(servev1.CacheHeader); got != want {
-			t.Fatalf("%s = %q, want %q", servev1.CacheHeader, got, want)
-		}
-		if got := countingPlans.Load() - before; got != 1 {
-			t.Fatalf("a served %s planned the campaign %d times, want 1", want, got)
+		if plans != wantPlans {
+			t.Fatalf("%s planned the campaign %d times, want %d", what, plans, wantPlans)
 		}
 	}
+
+	t.Run("repeats", func(t *testing.T) {
+		srv, ts := newAdmitServer(t, Config{CacheEntries: 64})
+		resp, first, plans := tunePlans(t, srv, ts.URL, campaign)
+		expect(t, "a miss", resp, plans, "miss", 1)
+		fp := resp.Header.Get(servev1.FingerprintHeader)
+		for _, c := range []struct {
+			what, body string
+			plans      int64
+		}{
+			{"a byte-identical repeat", campaign, 0},
+			{"a re-encoded body", reencoded, 1},
+			{"a repeat of the re-encoded body", reencoded, 0},
+		} {
+			resp, body, plans := tunePlans(t, srv, ts.URL, c.body)
+			expect(t, c.what, resp, plans, "hit", c.plans)
+			if got := resp.Header.Get(servev1.FingerprintHeader); got != fp {
+				t.Fatalf("%s: fingerprint %s, want %s", c.what, got, fp)
+			}
+			if !bytes.Equal(body, first) {
+				t.Fatalf("%s: body differs from the miss", c.what)
+			}
+		}
+	})
+
+	t.Run("evicted", func(t *testing.T) {
+		srv, ts := newAdmitServer(t, Config{CacheEntries: 1})
+		_, first, _ := tunePlans(t, srv, ts.URL, campaign)
+		resp, _, plans := tunePlans(t, srv, ts.URL, other)
+		expect(t, "a second campaign", resp, plans, "miss", 1)
+		resp, body, plans := tunePlans(t, srv, ts.URL, campaign)
+		expect(t, "a repeat after eviction", resp, plans, "miss", 1)
+		if !bytes.Equal(body, first) {
+			t.Fatal("the re-run after eviction is not byte-identical")
+		}
+		if ev := srv.cache.Stats().Evictions; ev != 2 {
+			t.Fatalf("%d result-cache evictions, want 2", ev)
+		}
+	})
+
+	t.Run("never stored", func(t *testing.T) {
+		// The admission floor refuses every result, so each repeat is a
+		// memo hit whose result is missing: it builds the session once,
+		// for the run.
+		srv, ts := newAdmitServer(t, Config{CacheMinRun: time.Hour})
+		for i := 0; i < 3; i++ {
+			resp, _, plans := tunePlans(t, srv, ts.URL, campaign)
+			expect(t, fmt.Sprintf("request %d", i), resp, plans, "miss", 1)
+		}
+		if st := srv.cache.Stats(); st.Rejected != 3 || st.Misses != 3 || st.Hits != 0 {
+			t.Fatalf("cache stats %+v, want 3 rejected misses", st)
+		}
+	})
 }
 
 // TestConcurrentIdenticalRequestsCollapse: N identical submissions
@@ -354,22 +420,14 @@ func TestSSEMatchesWithProgress(t *testing.T) {
 	src := `{"system": "Gold 6148", "workloads": ["counting"], "serial": true, "seed": 11}`
 
 	// In-process reference: same campaign, progress collected directly.
-	parsed, err := campaign.Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := campaign.Options(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []rooftune.Event
-	sess, err := rooftune.New(append(opts, rooftune.WithProgress(func(ev rooftune.Event) {
+	built, err := campaign.Build([]byte(src), rooftune.WithProgress(func(ev rooftune.Event) {
 		want = append(want, ev)
-	}))...)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(context.Background()); err != nil {
+	if _, err := built.Session.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
