@@ -23,10 +23,11 @@ func fuzzOutcomeSession() (*Session, error) {
 }
 
 // FuzzOutcomeFromWire drives arbitrary worker response bodies through
-// what a coordinator does with them: the NodeOutcome decode and schema
-// check of dist.Coordinator.postNode, then outcomeFromWire against the
-// plan node the outcome names (or, for an unknown name, the first node,
-// which must refuse it). No input may panic, and every winner
+// outcomeFromWire: every body that json-decodes into a NodeOutcome of
+// the current schema (the check dist.Coordinator.postNode makes, repeated
+// here, not called) is rebuilt against the plan node the outcome names
+// (or, for an unknown name, the first node, which must refuse it). No
+// input may panic, and every winner
 // outcomeFromWire accepts must re-marshal through bench.MarshalConfig,
 // as Result assembly will. The seed corpus, real worker outcomes plus
 // malformed variants, lives in testdata/fuzz/FuzzOutcomeFromWire and

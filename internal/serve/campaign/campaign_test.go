@@ -51,8 +51,9 @@ const maxFuzzCampaign = 4 << 10
 
 // FuzzResolveCampaign drives arbitrary bytes through the daemons'
 // resolution path, a Resolver: parse, resolve options, New,
-// Fingerprint. No input may panic; bytes that fail to resolve must fail
-// again and never be remembered; resolved bytes must come back from the
+// Fingerprint. No input may panic; a session New accepts must
+// fingerprint; bytes that fail to resolve must fail again and never be
+// remembered; resolved bytes must come back from the
 // memo with the same fingerprint and no session, and that fingerprint
 // must equal a fresh session's.
 func FuzzResolveCampaign(f *testing.F) {
@@ -69,6 +70,9 @@ func FuzzResolveCampaign(f *testing.F) {
 		r := NewResolver(0)
 		fp, res, err := r.Resolve(data)
 		if err != nil {
+			if _, berr := Build(data); berr == nil {
+				t.Fatalf("New accepted %s but Fingerprint failed: %v", data, err)
+			}
 			if _, _, again := r.Resolve(data); again == nil {
 				t.Fatalf("%s failed to resolve (%v), then resolved", data, err)
 			}
