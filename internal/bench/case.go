@@ -103,6 +103,12 @@ func (StencilConfig) benchConfig() {}
 // space bound to an engine that can execute (or simulate) it. The
 // evaluator repeatedly creates invocations of it, mirroring the paper's
 // outer loop which re-executes the benchmark program.
+//
+// A case's invocations never overlap: each Instance is closed before the
+// next NewInvocation, and one case is evaluated by one goroutine at a
+// time (a search may evaluate it again later, as the second-chance pass
+// does). A case may therefore hand out the same Instance every time,
+// reset for the new invocation, as the simulated cases do.
 type Case interface {
 	// Key uniquely identifies the configuration within a search space.
 	Key() string
@@ -116,7 +122,7 @@ type Case interface {
 	Metric() Metric
 	// NewInvocation starts invocation number inv (0-based). The engine
 	// accounts any startup/initialisation cost to its clock before
-	// returning.
+	// returning. The returned Instance is valid until its Close.
 	NewInvocation(inv int) (Instance, error)
 }
 

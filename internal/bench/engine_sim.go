@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -81,21 +82,37 @@ func (e *SimEngine) TriadCase(elems int, aff hw.Affinity, sockets int) Case {
 }
 
 // simInstance is one invocation of any simulated case: a sample stream
-// that advances the engine's virtual clock. The stream lives inside the
-// instance by value, so starting an invocation allocates only this.
+// that advances the engine's virtual clock.
 type simInstance struct {
 	stream simnoise.Stream
 	clock  *vclock.Virtual
 	work   float64
 }
 
-// invoke starts invocation seed of the configuration at p: it charges
-// the invocation's setup to the clock and returns its instance.
-func (e *SimEngine) invoke(p *simnoise.Point, seed uint64) Instance {
-	e.Clock.Advance(p.Setup)
-	i := &simInstance{clock: e.Clock, work: p.Work}
-	i.stream.Reset(p, seed)
-	return i
+// simRun is what a simulated case builds on its first invocation, not
+// when the case is made: planning makes every case of a campaign, and a
+// served cache hit or a fingerprint evaluates none. It holds the
+// configuration's simnoise.Point and the one instance that every
+// invocation of the case resets and hands out. A case's invocations run
+// one after another, so neither the lazy build nor the reuse needs a
+// lock. It sits behind a pointer so an unevaluated case stays small.
+type simRun struct {
+	point simnoise.Point
+	inst  simInstance
+}
+
+// newRun builds a case's simRun around its configuration's point.
+func (e *SimEngine) newRun(p simnoise.Point) *simRun {
+	return &simRun{point: p, inst: simInstance{clock: e.Clock, work: p.Work}}
+}
+
+// invoke starts invocation seed of the case: it charges the invocation's
+// setup to the clock and returns the case's instance, reset to the
+// invocation's stream.
+func (r *simRun) invoke(seed uint64) Instance {
+	r.inst.clock.Advance(r.point.Setup)
+	r.inst.stream.Reset(&r.point, seed)
+	return &r.inst
 }
 
 func (i *simInstance) Warmup() { i.clock.Advance(i.stream.Warmup()) }
@@ -109,21 +126,19 @@ func (i *simInstance) Step() time.Duration {
 func (i *simInstance) Work() float64 { return i.work }
 func (i *simInstance) Close()        {}
 
-// Every simulated case builds its configuration's simnoise.Point on its
-// first invocation, not when the case is made: planning makes every case
-// of a campaign, and a served cache hit or a fingerprint evaluates none.
-// A case's invocations run one after another, so the lazy point needs no
-// lock.
-
 type simDGEMMCase struct {
 	engine  *SimEngine
 	n, m, k int
 	sockets int
-	point   *simnoise.Point
+	run     *simRun
 }
 
 func (c *simDGEMMCase) Key() string {
-	return fmt.Sprintf("dgemm/%d/%dx%dx%d", c.sockets, c.n, c.m, c.k)
+	var buf [64]byte
+	b := appendField(buf[:0], "dgemm/", c.sockets)
+	b = appendField(b, "/", c.n)
+	b = appendField(b, "x", c.m)
+	return string(appendField(b, "x", c.k))
 }
 
 func (c *simDGEMMCase) Config() Config {
@@ -131,7 +146,11 @@ func (c *simDGEMMCase) Config() Config {
 }
 
 func (c *simDGEMMCase) Describe() string {
-	return fmt.Sprintf("n=%d m=%d k=%d sockets=%d", c.n, c.m, c.k, c.sockets)
+	var buf [64]byte
+	b := appendField(buf[:0], "n=", c.n)
+	b = appendField(b, " m=", c.m)
+	b = appendField(b, " k=", c.k)
+	return string(appendField(b, " sockets=", c.sockets))
 }
 
 func (c *simDGEMMCase) Metric() Metric { return MetricFlops }
@@ -140,11 +159,10 @@ func (c *simDGEMMCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.m <= 0 || c.k <= 0 {
 		return nil, fmt.Errorf("bench: invalid DGEMM dims %s", c.Describe())
 	}
-	if c.point == nil {
-		p := c.engine.DGEMM().Point(c.n, c.m, c.k, c.sockets)
-		c.point = &p
+	if c.run == nil {
+		c.run = c.engine.newRun(c.engine.DGEMM().Point(c.n, c.m, c.k, c.sockets))
 	}
-	return c.engine.invoke(c.point, simblas.Seed(c.engine.Seed, c.n, c.m, c.k, c.sockets, inv)), nil
+	return c.run.invoke(simblas.Seed(c.engine.Seed, c.n, c.m, c.k, c.sockets, inv)), nil
 }
 
 type simTriadCase struct {
@@ -152,11 +170,14 @@ type simTriadCase struct {
 	elems   int
 	aff     hw.Affinity
 	sockets int
-	point   *simnoise.Point
+	run     *simRun
 }
 
 func (c *simTriadCase) Key() string {
-	return fmt.Sprintf("triad/%d/%s/%d", c.sockets, c.aff, c.elems)
+	var buf [64]byte
+	b := appendField(buf[:0], "triad/", c.sockets)
+	b = append(append(b, '/'), c.aff.String()...)
+	return string(appendField(b, "/", c.elems))
 }
 
 func (c *simTriadCase) Config() Config {
@@ -164,8 +185,11 @@ func (c *simTriadCase) Config() Config {
 }
 
 func (c *simTriadCase) Describe() string {
-	return fmt.Sprintf("N=%d (W=%v) affinity=%s sockets=%d",
-		c.elems, units.ByteSize(units.TriadBytes(c.elems)), c.aff, c.sockets)
+	var buf [96]byte
+	b := appendField(buf[:0], "N=", c.elems)
+	b = units.ByteSize(units.TriadBytes(c.elems)).Append(append(b, " (W="...))
+	b = append(append(b, ") affinity="...), c.aff.String()...)
+	return string(appendField(b, " sockets=", c.sockets))
 }
 
 func (c *simTriadCase) Metric() Metric { return MetricBandwidth }
@@ -174,9 +198,15 @@ func (c *simTriadCase) NewInvocation(inv int) (Instance, error) {
 	if c.elems <= 0 {
 		return nil, fmt.Errorf("bench: invalid TRIAD length %d", c.elems)
 	}
-	if c.point == nil {
-		p := c.engine.Triad().Point(c.elems, c.aff, c.sockets)
-		c.point = &p
+	if c.run == nil {
+		c.run = c.engine.newRun(c.engine.Triad().Point(c.elems, c.aff, c.sockets))
 	}
-	return c.engine.invoke(c.point, simstream.Seed(c.engine.Seed, c.elems, c.aff, c.sockets, inv)), nil
+	return c.run.invoke(simstream.Seed(c.engine.Seed, c.elems, c.aff, c.sockets, inv)), nil
+}
+
+// appendField appends name and then v in decimal: one "%s%d" step of a
+// sim case's Key or Describe format, written without fmt so that each
+// call makes only its string.
+func appendField(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
 }

@@ -134,12 +134,9 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, best float64) (*Outcom
 		// upper confidence bound of the invocation-level mean cannot reach
 		// the incumbent, drop the configuration without the remaining
 		// invocations.
-		if b.UseOuterBound && outer.N() >= 2 && !math.IsInf(best, -1) {
-			iv := ci.of(&outer)
-			if iv.Mean+iv.Margin() < best {
-				out.Pruned = true
-				break
-			}
+		if b.UseOuterBound && outer.N() >= 2 && !math.IsInf(best, -1) && ci.beaten(&outer, best) {
+			out.Pruned = true
+			break
 		}
 	}
 	out.Mean = outer.Mean()
@@ -194,7 +191,13 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 			elapsed = time.Nanosecond
 		}
 		measured += elapsed
-		metric := work / elapsed.Seconds()
+		// Below a second, Seconds() is 0 + float64(elapsed)/1e9: the same
+		// bits without its integer division and remainder.
+		secs := float64(elapsed) / 1e9
+		if elapsed >= time.Second {
+			secs = elapsed.Seconds()
+		}
+		metric := work / secs
 		if e.Sampler != nil {
 			e.Sampler.Sample(key, invocation, count, elapsed, metric)
 		}
@@ -220,24 +223,15 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 			continue
 		}
 
-		// Stop conditions 3 and 4 both test the sample's confidence
-		// interval; it is built once and shared between them.
-		confidence := b.UseConfidence && n >= b.MinCISamples
-		bound := bounded && n >= b.MinCount
-		var iv stats.Interval
-		if (confidence && !b.UseMedian) || bound {
-			iv = ci.of(&w)
-		}
-
 		// Stop condition 3: the confidence interval of the mean has
 		// converged to within +-1/ErrorInverse of the mean.
-		if confidence {
+		if b.UseConfidence && n >= b.MinCISamples {
 			if b.UseMedian {
 				if medianConverged(samples, relTarget) {
 					reason = StopConfidence
 					break
 				}
-			} else if iv.RelativeHalfWidth() <= relTarget {
+			} else if ci.converged(&w, relTarget) {
 				reason = StopConfidence
 				break
 			}
@@ -246,7 +240,7 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 		// Stop condition 4 (Listing 1): mean + marg < best, after at
 		// least MinCount iterations. This ends the *iteration loop*; the
 		// invocation loop continues (the "Outer" flag handles that level).
-		if bound && iv.Mean+iv.Margin() < best {
+		if bounded && n >= b.MinCount && ci.beaten(&w, best) {
 			reason = StopBound
 			break
 		}
@@ -280,14 +274,50 @@ type intervals struct {
 	studentT bool
 	level    float64
 	z        float64 // NormalQuantile(0.5 + level/2); unused under Student-t
+	z2       float64 // z*z
 }
 
 func newIntervals(b Budget) intervals {
 	ci := intervals{studentT: b.UseStudentT, level: b.CILevel}
 	if !ci.studentT {
 		ci.z = stats.NormalQuantile(0.5 + b.CILevel/2)
+		ci.z2 = ci.z * ci.z
 	}
 	return ci
+}
+
+// converged is stop condition 3's test, RelativeHalfWidth() <= t on the
+// interval of w. Under the normal interval it is decided by squares
+// (stats.Welford.MarginBelow) and builds the interval only near a tie.
+//
+//rooflint:hotpath
+func (ci intervals) converged(w *stats.Welford, t float64) bool {
+	if !ci.studentT {
+		if below, ok := w.MarginBelow(ci.z2, t*math.Abs(w.Mean())); ok {
+			return below
+		}
+	}
+	return ci.of(w).RelativeHalfWidth() <= t
+}
+
+// beaten is stop condition 4's test, Mean+Margin() < best on the
+// interval of w. Under the normal interval the margin is never negative,
+// so it is false whenever best <= mean, and otherwise decided by squares
+// like converged.
+//
+//rooflint:hotpath
+func (ci intervals) beaten(w *stats.Welford, best float64) bool {
+	if !ci.studentT {
+		mean := w.Mean()
+		if best <= mean {
+			return false
+		}
+		if below, ok := w.MarginBelow(ci.z2, best-mean); ok {
+			return below
+		}
+	}
+	iv := ci.of(w)
+	return iv.Mean+iv.Margin() < best
 }
 
 func (ci intervals) of(w *stats.Welford) stats.Interval {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rooftune/internal/hw"
 	"rooftune/internal/vclock"
 )
 
@@ -95,4 +96,50 @@ func BenchmarkEvaluateSharedCtx(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEvaluateSim times the evaluator on a real simulated case, a
+// Gold 6148 DGEMM configuration evaluated again every op: ns/sample is
+// the whole cost of one measured sample (stream, virtual clock,
+// statistics and stop tests, plus the evaluation's share of setup) and
+// allocs/op the allocations of one evaluation. "fixed" runs Table I's
+// fixed-sample budget; "cio" Confidence+Inner+Outer against an
+// incumbent at the case's own mean, so stop condition 4 is tested on
+// every sample and ends some invocations early.
+func BenchmarkEvaluateSim(b *testing.B) {
+	ctx := context.Background()
+	mk := func() (*SimEngine, Case) {
+		eng := NewSimEngine(hw.IdunGold6148, 1021)
+		return eng, eng.DGEMMCase(1000, 4096, 128, 1)
+	}
+	fixed := DefaultBudget()
+	eng, c := mk()
+	probe, err := NewEvaluator(eng.Clock, fixed).Evaluate(ctx, c, NoBest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		budget Budget
+		best   float64
+	}{
+		{"fixed", fixed, NoBest},
+		{"cio", fixed.WithFlags(true, true, true), probe.Mean},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, c := mk()
+			e := NewEvaluator(eng.Clock, bc.budget)
+			samples := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := e.Evaluate(ctx, c, bc.best)
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples += out.TotalSamples
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+		})
+	}
 }

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -205,25 +207,89 @@ func TestSimStreamMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestSimInvocationAllocatesOnce: a simulated case allocates once, on its
+// first invocation (one simRun: its point beside the instance it hands
+// out); every later invocation resets that instance and allocates
+// nothing.
 func TestSimInvocationAllocatesOnce(t *testing.T) {
 	eng := NewSimEngine(hw.IdunGold6148, 1)
-	c := eng.DGEMMCase(1000, 4096, 128, 1)
-	inst, err := c.NewInvocation(0) // builds the case's point
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Close()
-	inv := 1
-	allocs := testing.AllocsPerRun(200, func() {
-		inst, _ := c.NewInvocation(inv)
-		inst.Warmup()
-		for i := 0; i < 50; i++ {
-			inst.Step()
+	for _, mk := range []func() Case{
+		func() Case { return eng.DGEMMCase(1000, 4096, 128, 1) },
+		func() Case { return eng.TriadCase(4096, hw.AffinityClose, 1) },
+		func() Case { return eng.SpMVCase(1<<18, 16, 512, 2) },
+		func() Case { return eng.StencilCase(4096, 4096, 512, 32, 2) },
+	} {
+		c := mk()
+		invoke := func(c Case, inv int) {
+			inst, err := c.NewInvocation(inv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst.Warmup()
+			for i := 0; i < 50; i++ {
+				inst.Step()
+			}
+			inst.Close()
 		}
-		inst.Close()
-		inv++
-	})
-	if allocs != 1 {
-		t.Fatalf("an invocation of 50 steps allocates %v times, want 1", allocs)
+		// Making a case allocates the case; its first invocation, the run.
+		if allocs := testing.AllocsPerRun(20, func() { invoke(mk(), 0) }); allocs != 2 {
+			t.Fatalf("%s: making a case and invoking it allocates %v times, want 2", c.Key(), allocs)
+		}
+		invoke(c, 0)
+		inv := 1
+		allocs := testing.AllocsPerRun(200, func() {
+			invoke(c, inv)
+			inv++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a later invocation of 50 steps allocates %v times, want 0", c.Key(), allocs)
+		}
+	}
+}
+
+// TestSimCaseReevaluates evaluates one simulated case twice on its
+// engine, as core's second-chance pass does, and once more as a fresh
+// case on a fresh engine: the three outcomes must be deep-equal, so the
+// instance a case reuses carries no state from one invocation or
+// evaluation to the next.
+func TestSimCaseReevaluates(t *testing.T) {
+	ctx := context.Background()
+	evaluate := func(eng *SimEngine, c Case, budget Budget, best float64) *Outcome {
+		t.Helper()
+		out, err := NewEvaluator(eng.Clock, budget).Evaluate(ctx, c, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	mk := func(eng *SimEngine) Case { return eng.DGEMMCase(1000, 4096, 128, 1) }
+	fixed := DefaultBudget()
+	probe := NewSimEngine(hw.IdunGold6148, 1021)
+	// An incumbent at the case's own mean makes stop condition 4 end
+	// some invocations early and leaves others to run out.
+	best := evaluate(probe, mk(probe), fixed, NoBest).Mean
+	for _, tc := range []struct {
+		name   string
+		budget Budget
+		best   float64
+	}{
+		{"fixed", fixed, NoBest},
+		{"cio", fixed.WithFlags(true, true, true), best},
+	} {
+		eng := NewSimEngine(hw.IdunGold6148, 1021)
+		c := mk(eng)
+		first := evaluate(eng, c, tc.budget, tc.best)
+		again := evaluate(eng, c, tc.budget, tc.best)
+		fresh := NewSimEngine(hw.IdunGold6148, 1021)
+		other := evaluate(fresh, mk(fresh), tc.budget, tc.best)
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("%s: re-evaluating the case differs:\nfirst %+v\nagain %+v", tc.name, first, again)
+		}
+		if !reflect.DeepEqual(first, other) {
+			t.Fatalf("%s: a fresh engine's evaluation differs:\nfirst %+v\nfresh %+v", tc.name, first, other)
+		}
+		if tc.name == "cio" && first.InnerStops == 0 {
+			t.Fatalf("cio: no invocation stopped early against best %v: %+v", tc.best, first)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rooftune/internal/parallel"
-	"rooftune/internal/simnoise"
 	"rooftune/internal/simspmv"
 	"rooftune/internal/spmv"
 	"rooftune/internal/vclock"
@@ -23,11 +22,15 @@ type simSpMVCase struct {
 	n, nnz  int
 	chunk   int
 	sockets int
-	point   *simnoise.Point
+	run     *simRun
 }
 
 func (c *simSpMVCase) Key() string {
-	return fmt.Sprintf("spmv/%d/%dx%d/%d", c.sockets, c.n, c.nnz, c.chunk)
+	var buf [64]byte
+	b := appendField(buf[:0], "spmv/", c.sockets)
+	b = appendField(b, "/", c.n)
+	b = appendField(b, "x", c.nnz)
+	return string(appendField(b, "/", c.chunk))
 }
 
 func (c *simSpMVCase) Config() Config {
@@ -35,7 +38,11 @@ func (c *simSpMVCase) Config() Config {
 }
 
 func (c *simSpMVCase) Describe() string {
-	return fmt.Sprintf("n=%d nnz/row=%d chunk=%d sockets=%d", c.n, c.nnz, c.chunk, c.sockets)
+	var buf [64]byte
+	b := appendField(buf[:0], "n=", c.n)
+	b = appendField(b, " nnz/row=", c.nnz)
+	b = appendField(b, " chunk=", c.chunk)
+	return string(appendField(b, " sockets=", c.sockets))
 }
 
 func (c *simSpMVCase) Metric() Metric { return MetricFlops }
@@ -44,11 +51,10 @@ func (c *simSpMVCase) NewInvocation(inv int) (Instance, error) {
 	if c.n <= 0 || c.nnz <= 0 || c.chunk <= 0 {
 		return nil, fmt.Errorf("bench: invalid SpMV configuration %s", c.Describe())
 	}
-	if c.point == nil {
-		p := c.engine.SpMV().Point(c.n, c.nnz, c.chunk, c.sockets)
-		c.point = &p
+	if c.run == nil {
+		c.run = c.engine.newRun(c.engine.SpMV().Point(c.n, c.nnz, c.chunk, c.sockets))
 	}
-	return c.engine.invoke(c.point, simspmv.Seed(c.engine.Seed, c.n, c.nnz, c.chunk, c.sockets, inv)), nil
+	return c.run.invoke(simspmv.Seed(c.engine.Seed, c.n, c.nnz, c.chunk, c.sockets, inv)), nil
 }
 
 // SpMVCase returns a real CSR SpMV case over a shared read-only matrix.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rooftune/internal/parallel"
-	"rooftune/internal/simnoise"
 	"rooftune/internal/simstencil"
 	"rooftune/internal/stencil"
 	"rooftune/internal/vclock"
@@ -23,11 +22,16 @@ type simStencilCase struct {
 	nx, ny  int
 	tx, ty  int
 	sockets int
-	point   *simnoise.Point
+	run     *simRun
 }
 
 func (c *simStencilCase) Key() string {
-	return fmt.Sprintf("stencil/%d/%dx%d/%dx%d", c.sockets, c.nx, c.ny, c.tx, c.ty)
+	var buf [64]byte
+	b := appendField(buf[:0], "stencil/", c.sockets)
+	b = appendField(b, "/", c.nx)
+	b = appendField(b, "x", c.ny)
+	b = appendField(b, "/", c.tx)
+	return string(appendField(b, "x", c.ty))
 }
 
 func (c *simStencilCase) Config() Config {
@@ -35,7 +39,12 @@ func (c *simStencilCase) Config() Config {
 }
 
 func (c *simStencilCase) Describe() string {
-	return fmt.Sprintf("grid=%dx%d tile=%dx%d sockets=%d", c.nx, c.ny, c.tx, c.ty, c.sockets)
+	var buf [64]byte
+	b := appendField(buf[:0], "grid=", c.nx)
+	b = appendField(b, "x", c.ny)
+	b = appendField(b, " tile=", c.tx)
+	b = appendField(b, "x", c.ty)
+	return string(appendField(b, " sockets=", c.sockets))
 }
 
 func (c *simStencilCase) Metric() Metric { return MetricFlops }
@@ -44,11 +53,10 @@ func (c *simStencilCase) NewInvocation(inv int) (Instance, error) {
 	if c.nx < 3 || c.ny < 3 || c.tx <= 0 || c.ty <= 0 {
 		return nil, fmt.Errorf("bench: invalid stencil configuration %s", c.Describe())
 	}
-	if c.point == nil {
-		p := c.engine.Stencil().Point(c.nx, c.ny, c.tx, c.ty, c.sockets)
-		c.point = &p
+	if c.run == nil {
+		c.run = c.engine.newRun(c.engine.Stencil().Point(c.nx, c.ny, c.tx, c.ty, c.sockets))
 	}
-	return c.engine.invoke(c.point, simstencil.Seed(c.engine.Seed, c.nx, c.ny, c.tx, c.ty, c.sockets, inv)), nil
+	return c.run.invoke(simstencil.Seed(c.engine.Seed, c.nx, c.ny, c.tx, c.ty, c.sockets, inv)), nil
 }
 
 // StencilCase returns a real Jacobi case. Fresh ping-pong grids are

@@ -28,8 +28,9 @@ type Config struct {
 	// attempt is not cancelled: completion is idempotent by node
 	// fingerprint and first answer wins.
 	Lease time.Duration
-	// Client is the HTTP client for probes and dispatches (nil:
-	// http.DefaultClient). It must not carry a client-wide Timeout —
+	// Client is the HTTP client for probes and dispatches (nil: the
+	// coordinator's own client, which keeps every idle connection to a
+	// worker for reuse). It must not carry a client-wide Timeout —
 	// node runs are long-polls bounded by per-request contexts.
 	Client *http.Client
 	// Metrics, when set, receives the coordinator's roofdist_* series.
@@ -88,7 +89,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = &http.Client{Transport: keepAliveTransport()}
 	}
 	c := &Coordinator{
 		pool:   NewPool(cfg.Workers, cfg.Heartbeat, client),
@@ -99,6 +100,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 		c.register(cfg.Metrics)
 	}
 	return c
+}
+
+// keepAliveTransport is http.DefaultTransport's configuration with every
+// idle connection allowed to stay with one host. Dispatches to one
+// worker overlap (several campaigns, each with several ready nodes);
+// with the default 2 idle connections per host, every burst of more
+// would close its surplus connections and the next would dial them
+// again.
+func keepAliveTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = t.MaxIdleConns
+	return t
 }
 
 // Start launches the fleet's heartbeat loop and blocks for one initial

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"strings"
 	"sync"
@@ -726,5 +728,66 @@ func TestWorkerInvalidCampaignNotMemoized(t *testing.T) {
 				t.Fatalf("%s, attempt %d: status %d %+v, want 400 %q from resolution", camp, i, status, failure, distv1.CodeBadNode)
 			}
 		}
+	}
+}
+
+// TestCoordinatorKeepsWorkerConnections holds k > 2 dispatches to one
+// worker open at once, lets them finish, then repeats them: the repeat
+// must reuse the first round's connections and dial none. A per-host
+// idle limit below k closes the surplus after every burst.
+func TestCoordinatorKeepsWorkerConnections(t *testing.T) {
+	const k = 5
+	var opened atomic.Int64
+	arrived := make(chan struct{}, k) // one send per held dispatch of a round
+	var release chan struct{}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-release
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := NewCoordinator(Config{Workers: []string{ts.URL}})
+
+	// returned receives once per connection the client hands back to its
+	// idle pool (kept or, past the pool's per-host limit, closed), so a
+	// round ends only once every connection it used is settled.
+	returned := make(chan struct{}, k) // one send per dispatch of a round
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		PutIdleConn: func(error) { returned <- struct{}{} },
+	})
+	round := func() {
+		release = make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, _, err := c.postNode(ctx, ts.URL, []byte(`{}`)); err == nil {
+					t.Error("the busy worker's answer was accepted")
+				}
+			}()
+		}
+		for i := 0; i < k; i++ {
+			<-arrived
+		}
+		close(release)
+		wg.Wait()
+		for i := 0; i < k; i++ {
+			<-returned
+		}
+	}
+	round()
+	if got := opened.Load(); got != k {
+		t.Fatalf("%d held dispatches opened %d connections", k, got)
+	}
+	round()
+	if got := opened.Load() - k; got != 0 {
+		t.Fatalf("repeating %d dispatches opened %d new connections, want 0", k, got)
 	}
 }

@@ -59,6 +59,52 @@ func NormalCIWithZ(w *Welford, level, z float64) Interval {
 	return iv
 }
 
+// marginSlack scales the band around a tie in which MarginBelow declines
+// to decide: |margin - d| < marginSlack*(|mean| + d). Interval's
+// Mean+Margin() and RelativeHalfWidth() round within about 10 units of
+// 2^-53 of that scale, the squared comparison within about 4; the slack
+// is 2^9 such units, so a decided comparison always agrees with them.
+// (internal/bench's TestStopDecisionMatchesInterval finds disagreements
+// at a slack of 2^-51 and none from 2^-50.)
+const marginSlack = 0x1p-44
+
+// marginTiny bounds the operands MarginBelow decides on from below (and
+// marginHuge bounds d from above), so that no intermediate of the
+// squared comparison or of NormalCIWithZ is subnormal, where rounding
+// errors stop being relative.
+const (
+	marginTiny = 0x1p-800
+	marginHuge = 0x1p400
+)
+
+// MarginBelow compares the half-width of the normal interval of w's
+// mean, marg = z*S/sqrt(n) as NormalCIWithZ builds it, with d > 0,
+// without a square root: it compares z2*C with d*d*n*(n-1), where z2 is
+// z*z and C the accumulator's corrected sum of squares. When decided is
+// true, below reports marg < d, and equals the built Interval's own
+// test, rounding included: RelativeHalfWidth() <= t for d = t*|mean|,
+// and Mean+Margin() < best for d = best-mean. decided is false when the
+// two sides are within marginSlack of a tie, when n < 2, or when any
+// operand is zero, NaN, ±Inf or out of range; the caller then decides
+// with the Interval.
+//
+//rooflint:hotpath
+func (w *Welford) MarginBelow(z2, d float64) (below, decided bool) {
+	lhs := z2 * w.c
+	if w.n < 2 || !(d >= marginTiny && d <= marginHuge) || !(lhs >= marginTiny && lhs <= math.MaxFloat64) {
+		return false, false
+	}
+	tol := marginSlack * (math.Abs(w.mean) + d)
+	nn := float64(w.n) * float64(w.n-1)
+	if hi := d + tol; lhs > hi*hi*nn {
+		return false, true
+	}
+	if lo := d - tol; lo > 0 && lhs < lo*lo*nn {
+		return true, true
+	}
+	return false, false
+}
+
 // StudentCI returns the Student-t confidence interval of the mean, the
 // small-sample-correct alternative (Georges et al. recommend t for n < 30).
 func StudentCI(w *Welford, level float64) Interval {

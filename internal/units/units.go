@@ -53,24 +53,34 @@ const (
 
 // String renders the size with the largest exact-enough binary prefix:
 // "3 KiB", "768 MiB", "1.5 GiB".
-func (s ByteSize) String() string {
+func (s ByteSize) String() string { return string(s.Append(nil)) }
+
+// Append appends the size as String renders it to b, so a caller
+// formatting a larger string makes no intermediate one.
+func (s ByteSize) Append(b []byte) []byte {
 	switch {
 	case s >= GiB:
-		return trimUnit(float64(s)/float64(GiB), "GiB")
+		return appendTrimmed(b, float64(s)/float64(GiB), "GiB")
 	case s >= MiB:
-		return trimUnit(float64(s)/float64(MiB), "MiB")
+		return appendTrimmed(b, float64(s)/float64(MiB), "MiB")
 	case s >= KiB:
-		return trimUnit(float64(s)/float64(KiB), "KiB")
+		return appendTrimmed(b, float64(s)/float64(KiB), "KiB")
 	default:
-		return fmt.Sprintf("%d B", int64(s))
+		return append(strconv.AppendInt(b, int64(s), 10), " B"...)
 	}
 }
 
-func trimUnit(v float64, unit string) string {
-	str := strconv.FormatFloat(v, 'f', 2, 64)
-	str = strings.TrimRight(str, "0")
-	str = strings.TrimRight(str, ".")
-	return str + " " + unit
+// appendTrimmed appends v to two decimals without trailing zeros (and
+// without a bare trailing point), then a space and unit.
+func appendTrimmed(b []byte, v float64, unit string) []byte {
+	b = strconv.AppendFloat(b, v, 'f', 2, 64)
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	if b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
+	}
+	return append(append(b, ' '), unit...)
 }
 
 // ParseByteSize parses strings such as "3KiB", "768 MiB", "45MB" (decimal MB

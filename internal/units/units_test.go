@@ -1,7 +1,10 @@
 package units
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +44,45 @@ func TestByteSizeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("ByteSize(%d).String() = %q, want %q", int64(c.in), got, c.want)
+		}
+	}
+}
+
+// byteSizeFormat is the fmt/strings rendering ByteSize.String had before
+// it appended: the oracle Append must reproduce byte for byte.
+func byteSizeFormat(s ByteSize) string {
+	trim := func(v float64, unit string) string {
+		str := strconv.FormatFloat(v, 'f', 2, 64)
+		str = strings.TrimRight(str, "0")
+		str = strings.TrimRight(str, ".")
+		return str + " " + unit
+	}
+	switch {
+	case s >= GiB:
+		return trim(float64(s)/float64(GiB), "GiB")
+	case s >= MiB:
+		return trim(float64(s)/float64(MiB), "MiB")
+	case s >= KiB:
+		return trim(float64(s)/float64(KiB), "KiB")
+	default:
+		return fmt.Sprintf("%d B", int64(s))
+	}
+}
+
+func TestByteSizeAppendMatchesFormat(t *testing.T) {
+	sizes := []ByteSize{0, 1, -1, -5 * KiB, 1023, KiB, KiB + 5, KiB + 6, 10*KiB - 1, 100 * KiB,
+		MiB - 1, MiB, 1000 * MiB, GiB - 1, GiB, 1000 * GiB, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		sizes = append(sizes, ByteSize(rng.Int63n(1<<uint(rng.Intn(62)+1))))
+	}
+	for _, s := range sizes {
+		want := byteSizeFormat(s)
+		if got := s.String(); got != want {
+			t.Fatalf("ByteSize(%d).String() = %q, want %q", int64(s), got, want)
+		}
+		if got := string(s.Append([]byte("W="))); got != "W="+want {
+			t.Fatalf("ByteSize(%d).Append(\"W=\") = %q, want %q", int64(s), got, "W="+want)
 		}
 	}
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
+	"rooftune/internal/bench"
+	"rooftune/internal/hw"
+	"rooftune/internal/units"
 	"rooftune/internal/workload"
 )
 
@@ -192,6 +196,53 @@ func TestFingerprintConcurrentWithRun(t *testing.T) {
 		}
 		if !bytes.Equal(got, wantBytes) {
 			t.Fatalf("Run beside Fingerprint diverged:\ngot:  %s\nwant: %s", got, wantBytes)
+		}
+	}
+}
+
+// TestPlannedCaseFormats holds every simulated case of an all-workload
+// campaign (all five systems, TRIAD L1 to DRAM) to the fmt formats its
+// Key and Describe were first written with: the cases now append their
+// strings, and every Result, outcome and fingerprint carries them.
+func TestPlannedCaseFormats(t *testing.T) {
+	for _, name := range hw.Known() {
+		sess, err := New(WithSystem(name), WithWorkloads("dgemm", "triad", "spmv", "stencil"),
+			WithTriadLevels("L1", "L2", "L3", "DRAM"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		for _, n := range sess.pending.nodes {
+			for _, c := range n.Spec.Cases {
+				var key, describe string
+				switch cfg := c.Config().(type) {
+				case bench.DGEMMConfig:
+					key = fmt.Sprintf("dgemm/%d/%dx%dx%d", cfg.Sockets, cfg.N, cfg.M, cfg.K)
+					describe = fmt.Sprintf("n=%d m=%d k=%d sockets=%d", cfg.N, cfg.M, cfg.K, cfg.Sockets)
+				case bench.TriadConfig:
+					key = fmt.Sprintf("triad/%d/%s/%d", cfg.Sockets, cfg.Affinity, cfg.Elements)
+					describe = fmt.Sprintf("N=%d (W=%v) affinity=%s sockets=%d",
+						cfg.Elements, units.ByteSize(units.TriadBytes(cfg.Elements)), cfg.Affinity, cfg.Sockets)
+				case bench.SpMVConfig:
+					key = fmt.Sprintf("spmv/%d/%dx%d/%d", cfg.Sockets, cfg.N, cfg.NNZPerRow, cfg.ChunkRows)
+					describe = fmt.Sprintf("n=%d nnz/row=%d chunk=%d sockets=%d", cfg.N, cfg.NNZPerRow, cfg.ChunkRows, cfg.Sockets)
+				case bench.StencilConfig:
+					key = fmt.Sprintf("stencil/%d/%dx%d/%dx%d", cfg.Sockets, cfg.NX, cfg.NY, cfg.TileX, cfg.TileY)
+					describe = fmt.Sprintf("grid=%dx%d tile=%dx%d sockets=%d", cfg.NX, cfg.NY, cfg.TileX, cfg.TileY, cfg.Sockets)
+				default:
+					t.Fatalf("%s: unexpected config %T", name, cfg)
+				}
+				kinds[fmt.Sprintf("%T", c.Config())]++
+				if got := c.Key(); got != key {
+					t.Fatalf("%s: Key() = %q, want %q", name, got, key)
+				}
+				if got := c.Describe(); got != describe {
+					t.Fatalf("%s: Describe() = %q, want %q", name, got, describe)
+				}
+			}
+		}
+		if len(kinds) != 4 {
+			t.Fatalf("%s: planned case kinds %v, want all four", name, kinds)
 		}
 	}
 }
