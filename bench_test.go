@@ -1,4 +1,4 @@
-package rooftune
+package rooftune_test
 
 // This file is the benchmark harness required by the reproduction: one
 // testing.B benchmark per table and figure of the paper, regenerating the
@@ -18,6 +18,7 @@ import (
 	"context"
 	"testing"
 
+	"rooftune"
 	"rooftune/internal/bench"
 	"rooftune/internal/blas"
 	"rooftune/internal/core"
@@ -83,10 +84,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	r := experiments.New()
 	for i := 0; i < b.N; i++ {
-		runs := benchTable4Data(b, r)
-		if _, err := experiments.Table5(runs); err != nil {
-			b.Fatal(err)
-		}
+		experiments.Table5(benchTable4Data(b, r))
 	}
 }
 
@@ -313,7 +311,7 @@ func BenchmarkAblationMinCount(b *testing.B) {
 					b.Fatal(err)
 				}
 				virtual = run.Total.Seconds()
-				fs1 = run.S1.BestValue() / 1e9
+				fs1 = run.S1.Flops.GFLOPS()
 			}
 			b.ReportMetric(virtual, "virtual-s")
 			b.ReportMetric(fs1, "FS1-gflops")
@@ -331,8 +329,8 @@ func BenchmarkAblationOrder(b *testing.B) {
 			var virtual float64
 			for i := 0; i < b.N; i++ {
 				eng := bench.NewSimEngine(hw.IdunGold6148, experiments.DefaultSeed)
-				tuner := core.NewTuner(eng.Clock, budget, ord)
-				res, err := tuner.Run(context.Background(), experiments.DGEMMCases(eng, space, 1))
+				tuner := core.NewTuner(eng.Clock, budget)
+				res, err := tuner.Run(context.Background(), core.Arrange(experiments.DGEMMCases(eng, space, 1), ord, 1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -360,7 +358,7 @@ func BenchmarkAblationSpace(b *testing.B) {
 			var virtual, best float64
 			for i := 0; i < b.N; i++ {
 				eng := bench.NewSimEngine(hw.IdunE52650v4, experiments.DefaultSeed)
-				tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
+				tuner := core.NewTuner(eng.Clock, budget)
 				res, err := tuner.Run(context.Background(), experiments.DGEMMCases(eng, sp.space, 1))
 				if err != nil {
 					b.Fatal(err)
@@ -385,7 +383,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 		var virtual, best float64
 		for i := 0; i < b.N; i++ {
 			eng := bench.NewSimEngine(hw.IdunGold6148, experiments.DefaultSeed)
-			tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
+			tuner := core.NewTuner(eng.Clock, budget)
 			res, err := tuner.Run(context.Background(), experiments.DGEMMCases(eng, space, 1))
 			if err != nil {
 				b.Fatal(err)
@@ -433,7 +431,7 @@ func BenchmarkSecondChance(b *testing.B) {
 // roofline characterisation of one system.
 func BenchmarkSimulatedBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sess, err := New(WithSystem("Gold 6148"))
+		sess, err := rooftune.New(rooftune.WithSystem("Gold 6148"))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,14 +37,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d1, _ := experiments.BestDims(run.S1)
+		fs1 := float64(run.S1.Flops)
 		if i == 0 {
-			baseline = run.S1.BestValue()
+			baseline = fs1
 			baseTime = run.Total.Seconds()
 		}
-		errPct := 100 * core.RelativeError(run.S1.BestValue(), baseline)
+		errPct := 100 * core.RelativeError(fs1, baseline)
 		fmt.Printf("  %-26s FS1 %7.2f GFLOP/s (err %.2f%%)  at %v  search %8.2fs  speedup %6.2fx\n",
-			tech.Name, run.S1.BestValue()/1e9, errPct, d1,
+			tech.Name, run.S1.Flops.GFLOPS(), errPct, run.S1.Dims,
 			run.Total.Seconds(), baseTime/run.Total.Seconds())
 	}
 	fmt.Println("\nEvery adaptive technique finds the same optimum within 2% — the")

@@ -36,7 +36,7 @@ func main() {
 	run := func(minCount int, secondChance bool) (float64, core.Dims, float64) {
 		eng := bench.NewSimEngine(sys, experiments.DefaultSeed)
 		budget := bench.DefaultBudget().WithFlags(true, true, false).WithMinCount(minCount)
-		tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
+		tuner := core.NewTuner(eng.Clock, budget)
 		cases := experiments.DGEMMCases(eng, space, 1)
 
 		var res *core.Result

@@ -26,9 +26,10 @@ func main() {
 	fmt.Printf("search space: %d configurations (union space, DESIGN.md §4)\n\n", len(space))
 	for _, order := range []core.Order{core.OrderForward, core.OrderReverse, core.OrderRandom} {
 		eng := bench.NewSimEngine(sys, experiments.DefaultSeed)
-		tuner := core.NewTuner(eng.Clock, budget, order)
-		tuner.Seed = 7 // shuffle seed for the random order
-		res, err := tuner.Run(context.Background(), experiments.DGEMMCases(eng, space, 1))
+		tuner := core.NewTuner(eng.Clock, budget)
+		// 7 seeds the shuffle of the random order.
+		cases := core.Arrange(experiments.DGEMMCases(eng, space, 1), order, 7)
+		res, err := tuner.Run(context.Background(), cases)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func TestSecondChancePromotesLateBloomer(t *testing.T) {
 	budget := bench.DefaultBudget().WithFlags(true, true, false)
 	budget.Invocations = 3
 	budget.MaxIterations = 100
-	tuner := NewTuner(clock, budget, OrderForward)
+	tuner := NewTuner(clock, budget)
 
 	// Plain run: the bloomer's truncated mean loses.
 	plain, err := tuner.Run(context.Background(), []bench.Case{incumbent, bloomer})
@@ -76,7 +76,7 @@ func TestSecondChancePromotesLateBloomer(t *testing.T) {
 	clock2 := vclock.NewVirtual()
 	incumbent2 := &valueCase{id: 0, value: 9.09e11, clock: clock2, cost: 1100 * time.Microsecond}
 	bloomer2 := &bloomerCase{id: 1, clock: clock2, steady: time.Millisecond, rampLen: 20}
-	tuner2 := NewTuner(clock2, budget, OrderForward)
+	tuner2 := NewTuner(clock2, budget)
 	sc := DefaultSecondChance()
 	sc.Budget.Invocations = 2
 	res, err := tuner2.RunWithSecondChance(context.Background(), []bench.Case{incumbent2, bloomer2}, sc)
@@ -102,7 +102,7 @@ func TestSecondChanceNoCandidates(t *testing.T) {
 	clock := vclock.NewVirtual()
 	cases := makeCases(clock, []float64{1, 5, 3})
 	budget := quickBudget() // no bounds: nothing pruned, no candidates
-	tuner := NewTuner(clock, budget, OrderForward)
+	tuner := NewTuner(clock, budget)
 	res, err := tuner.RunWithSecondChance(context.Background(), cases, DefaultSecondChance())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSecondChanceMarginFilters(t *testing.T) {
 	b := quickBudget()
 	b.Invocations = 6
 	b.UseOuterBound = true
-	tuner := NewTuner(clock, b, OrderForward)
+	tuner := NewTuner(clock, b)
 	sc := SecondChance{Margin: 0.05, Budget: quickBudget()}
 	res, err := tuner.RunWithSecondChance(context.Background(), makeCases(clock, values), sc)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestSecondChanceMarginFilters(t *testing.T) {
 	}
 	// With a huge margin they all qualify (but none promote).
 	clock2 := vclock.NewVirtual()
-	tuner2 := NewTuner(clock2, b, OrderForward)
+	tuner2 := NewTuner(clock2, b)
 	sc2 := SecondChance{Margin: 0.999, Budget: quickBudget()}
 	res2, err := tuner2.RunWithSecondChance(context.Background(), makeCases(clock2, values), sc2)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package core is the autotuner — the paper's primary contribution. It
-// defines the DGEMM and TRIAD search spaces with the paper's state-space
-// reductions (§IV-A/B), the search orderings (forward, reverse, random),
+// defines the DGEMM search spaces with the paper's state-space
+// reductions (§IV-A), the search orderings (forward, reverse, random),
 // and the exhaustive-search tuner whose evaluation loop applies the
 // adaptive stop conditions of internal/bench to terminate measurement as
 // early as the statistics allow.
@@ -102,13 +102,4 @@ func ConstrainedMNSpace() []Dims {
 		}
 	}
 	return out
-}
-
-// TriadSpace returns the TRIAD vector lengths for the paper's sweep:
-// working sets from 3 KiB to 768 MiB (§IV-B), refined to four points per
-// octave so every system's L3 window — razor-thin on the Skylake Golds,
-// whose aggregate L2 nearly matches their victim L3 — contains sweep
-// points.
-func TriadSpace() []int {
-	return units.TriadGridElements(units.CanonicalTriadGrid())
 }

@@ -76,25 +76,6 @@ func TestSquareAndConstrainedSpaces(t *testing.T) {
 	}
 }
 
-func TestTriadSpace(t *testing.T) {
-	s := TriadSpace()
-	if len(s) < 60 {
-		t.Fatalf("TRIAD sweep too sparse: %d points", len(s))
-	}
-	if s[0] != 128 {
-		t.Fatalf("sweep must start at 3 KiB = 128 elements, got %d", s[0])
-	}
-	last := s[len(s)-1]
-	if w := 24 * int64(last); w != 768<<20 {
-		t.Fatalf("sweep must end at 768 MiB, got %d bytes", w)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			t.Fatal("sweep must be strictly increasing")
-		}
-	}
-}
-
 func TestDimsString(t *testing.T) {
 	d := Dims{N: 1000, M: 4096, K: 128}
 	if d.String() != "1000,4096,128" {

@@ -16,7 +16,9 @@ type Order int
 
 // Traversal orders. The paper studies Forward (cheap configurations
 // first) and Reverse ("R" in Tables VIII-XI); Random is the standard
-// baseline for larger spaces (§IV-C).
+// baseline for larger spaces (§IV-C). A tuner evaluates its cases in the
+// order it is given them, so an order is applied to the space with
+// Arrange.
 const (
 	OrderForward Order = iota
 	OrderReverse
@@ -49,7 +51,7 @@ type Result struct {
 	// winner. Callers reporting Best as a measurement should surface this.
 	BestPruned bool
 	// All holds every configuration's outcome in traversal order — the
-	// order the tuner's Order dictates.
+	// order of the cases Run was given.
 	All []*bench.Outcome
 	// Elapsed is the total search time on the engine's clock — virtual
 	// seconds for simulated engines, the paper's "Time" column.
@@ -77,9 +79,6 @@ func (r *Result) BestValue() float64 {
 // Run: the pre-seed (Incumbent), raised by every non-pruned win.
 type Tuner struct {
 	Evaluator *bench.Evaluator
-	Order     Order
-	// Seed drives the random order shuffle (only used for OrderRandom).
-	Seed uint64
 	// OnOutcome, when non-nil, observes every evaluated configuration in
 	// traversal order — used by experiment drivers to stream
 	// per-configuration series (Fig. 6) without retaining engine
@@ -95,15 +94,11 @@ type Tuner struct {
 }
 
 // NewTuner builds a tuner with the given evaluation budget on the clock.
-func NewTuner(clock vclock.Clock, budget bench.Budget, order Order) *Tuner {
-	return &Tuner{
-		Evaluator: bench.NewEvaluator(clock, budget),
-		Order:     order,
-		Seed:      1,
-	}
+func NewTuner(clock vclock.Clock, budget bench.Budget) *Tuner {
+	return &Tuner{Evaluator: bench.NewEvaluator(clock, budget)}
 }
 
-// Run evaluates every case in the tuner's order, carrying the incumbent
+// Run evaluates every case in the order given, carrying the incumbent
 // best value into each evaluation so stop condition 4 can prune against
 // it. The evaluation is strictly serial, as in the paper: the incumbent
 // is sequential state, so each case is pruned against exactly the cases
@@ -117,11 +112,10 @@ func (t *Tuner) Run(ctx context.Context, cases []bench.Case) (*Result, error) {
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("core: empty search space")
 	}
-	ordered := t.ordered(cases)
 	watch := vclock.NewStopwatch(t.Evaluator.Clock)
-	outs := make([]*bench.Outcome, 0, len(ordered))
+	outs := make([]*bench.Outcome, 0, len(cases))
 	best := t.seedBound()
-	for _, c := range ordered {
+	for _, c := range cases {
 		out, err := t.Evaluator.Evaluate(ctx, c, best)
 		if err != nil {
 			return nil, err
@@ -181,22 +175,22 @@ func (t *Tuner) seedBound() float64 {
 	return bench.NoBest
 }
 
-func (t *Tuner) ordered(cases []bench.Case) []bench.Case {
-	out := make([]bench.Case, len(cases))
-	copy(out, cases)
-	switch t.Order {
+// Arrange returns a copy of s in the given traversal order: forward
+// keeps it, reverse reverses it, and random permutes it with a shuffle
+// drawn from seed (the same seed always gives the same permutation).
+func Arrange[T any](s []T, order Order, seed uint64) []T {
+	out := make([]T, len(s))
+	switch order {
 	case OrderReverse:
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
+		for i, v := range s {
+			out[len(s)-1-i] = v
 		}
 	case OrderRandom:
-		rng := xrand.New(t.Seed)
-		perm := rng.Perm(len(out))
-		shuffled := make([]bench.Case, len(out))
-		for i, p := range perm {
-			shuffled[i] = out[p]
+		for i, p := range xrand.New(seed).Perm(len(s)) {
+			out[i] = s[p]
 		}
-		out = shuffled
+	default:
+		copy(out, s)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"rooftune/internal/bench"
 	"rooftune/internal/vclock"
+	"rooftune/internal/xrand"
 )
 
 // valueCase is a fake benchmark with a fixed metric value.
@@ -59,7 +60,7 @@ func quickBudget() bench.Budget {
 func TestTunerFindsMaximum(t *testing.T) {
 	clock := vclock.NewVirtual()
 	values := []float64{3, 9, 1, 7, 9.5, 2}
-	tuner := NewTuner(clock, quickBudget(), OrderForward)
+	tuner := NewTuner(clock, quickBudget())
 	res, err := tuner.Run(context.Background(), makeCases(clock, values))
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +80,9 @@ func TestTunerOrderings(t *testing.T) {
 	clock := vclock.NewVirtual()
 	values := []float64{1, 2, 3, 4}
 	var visited []string
-	tuner := NewTuner(clock, quickBudget(), OrderReverse)
+	tuner := NewTuner(clock, quickBudget())
 	tuner.OnOutcome = func(o *bench.Outcome) { visited = append(visited, o.Key) }
-	if _, err := tuner.Run(context.Background(), makeCases(clock, values)); err != nil {
+	if _, err := tuner.Run(context.Background(), Arrange(makeCases(clock, values), OrderReverse, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if visited[0] != "case-3" || visited[3] != "case-0" {
@@ -89,10 +90,7 @@ func TestTunerOrderings(t *testing.T) {
 	}
 
 	visited = nil
-	tuner = NewTuner(clock, quickBudget(), OrderRandom)
-	tuner.Seed = 3
-	tuner.OnOutcome = func(o *bench.Outcome) { visited = append(visited, o.Key) }
-	if _, err := tuner.Run(context.Background(), makeCases(clock, values)); err != nil {
+	if _, err := tuner.Run(context.Background(), Arrange(makeCases(clock, values), OrderRandom, 3)); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
@@ -104,17 +102,35 @@ func TestTunerOrderings(t *testing.T) {
 	}
 
 	// Random order is deterministic per shuffle seed.
-	var again []string
-	tuner2 := NewTuner(clock, quickBudget(), OrderRandom)
-	tuner2.Seed = 3
-	tuner2.OnOutcome = func(o *bench.Outcome) { again = append(again, o.Key) }
-	if _, err := tuner2.Run(context.Background(), makeCases(clock, values)); err != nil {
-		t.Fatal(err)
-	}
+	again := Arrange(makeCases(clock, values), OrderRandom, 3)
 	for i := range visited {
-		if visited[i] != again[i] {
+		if visited[i] != again[i].Key() {
 			t.Fatal("random order not reproducible for the same seed")
 		}
+	}
+}
+
+// TestArrange pins the three traversal orders on a plain slice: forward
+// and reverse are exact, and the seeded shuffle is xrand's permutation
+// for that seed. Arrange never aliases its input.
+func TestArrange(t *testing.T) {
+	s := []int{10, 11, 12, 13, 14}
+	if got := Arrange(s, OrderForward, 1); fmt.Sprint(got) != "[10 11 12 13 14]" {
+		t.Fatalf("forward = %v", got)
+	}
+	if got := Arrange(s, OrderReverse, 1); fmt.Sprint(got) != "[14 13 12 11 10]" {
+		t.Fatalf("reverse = %v", got)
+	}
+	perm := xrand.New(7).Perm(len(s))
+	got := Arrange(s, OrderRandom, 7)
+	for i, p := range perm {
+		if got[i] != s[p] {
+			t.Fatalf("random = %v, want permutation %v of %v", got, perm, s)
+		}
+	}
+	got[0] = -1
+	if s[0] != 10 {
+		t.Fatal("Arrange aliases its input")
 	}
 }
 
@@ -122,8 +138,8 @@ func TestTunerOrderIndependentOptimum(t *testing.T) {
 	values := []float64{5, 8, 2, 10, 7, 1, 9}
 	for _, order := range []Order{OrderForward, OrderReverse, OrderRandom} {
 		clock := vclock.NewVirtual()
-		tuner := NewTuner(clock, quickBudget(), order)
-		res, err := tuner.Run(context.Background(), makeCases(clock, values))
+		tuner := NewTuner(clock, quickBudget())
+		res, err := tuner.Run(context.Background(), Arrange(makeCases(clock, values), order, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +156,7 @@ func TestTunerPruningWithOuterBound(t *testing.T) {
 	b := quickBudget()
 	b.Invocations = 6
 	b.UseOuterBound = true
-	tuner := NewTuner(clock, b, OrderForward)
+	tuner := NewTuner(clock, b)
 	res, err := tuner.Run(context.Background(), makeCases(clock, values))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +178,7 @@ func TestTunerPruningWithOuterBound(t *testing.T) {
 func TestTunerSamplesAndElapsed(t *testing.T) {
 	clock := vclock.NewVirtual()
 	values := []float64{1, 2}
-	tuner := NewTuner(clock, quickBudget(), OrderForward)
+	tuner := NewTuner(clock, quickBudget())
 	res, err := tuner.Run(context.Background(), makeCases(clock, values))
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +195,9 @@ func TestTunerSamplesAndElapsed(t *testing.T) {
 func runOrdered(t *testing.T, b bench.Budget, order Order, incumbent float64, values []float64) *Result {
 	t.Helper()
 	clock := vclock.NewVirtual()
-	tuner := NewTuner(clock, b, order)
+	tuner := NewTuner(clock, b)
 	tuner.Incumbent = incumbent
-	res, err := tuner.Run(context.Background(), makeCases(clock, values))
+	res, err := tuner.Run(context.Background(), Arrange(makeCases(clock, values), order, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +247,11 @@ func TestTunerOnOutcomeAndErrors(t *testing.T) {
 	// OnOutcome fires once per case, in traversal order; engine failures
 	// propagate out of the run.
 	clock := vclock.NewVirtual()
-	tuner := NewTuner(clock, quickBudget(), OrderReverse)
+	tuner := NewTuner(clock, quickBudget())
 	var seen []string
 	tuner.OnOutcome = func(o *bench.Outcome) { seen = append(seen, o.Key) }
 	values := []float64{1, 2, 3, 4}
-	res, err := tuner.Run(context.Background(), makeCases(clock, values))
+	res, err := tuner.Run(context.Background(), Arrange(makeCases(clock, values), OrderReverse, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +264,7 @@ func TestTunerOnOutcomeAndErrors(t *testing.T) {
 		}
 	}
 
-	failing := NewTuner(vclock.NewVirtual(), quickBudget(), OrderForward)
+	failing := NewTuner(vclock.NewVirtual(), quickBudget())
 	if _, err := failing.Run(context.Background(), []bench.Case{&errCase{}, &errCase{}}); err == nil {
 		t.Fatal("run must propagate engine failure")
 	}
@@ -267,7 +283,7 @@ func (errCase) NewInvocation(int) (bench.Instance, error) {
 
 func TestTunerCancellation(t *testing.T) {
 	clock := vclock.NewVirtual()
-	tuner := NewTuner(clock, quickBudget(), OrderForward)
+	tuner := NewTuner(clock, quickBudget())
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from the first completed outcome: the next evaluation
 	// aborts and the run reports the cancellation.
@@ -290,7 +306,7 @@ func TestTunerCancellation(t *testing.T) {
 }
 
 func TestTunerEmptySpace(t *testing.T) {
-	tuner := NewTuner(vclock.NewVirtual(), quickBudget(), OrderForward)
+	tuner := NewTuner(vclock.NewVirtual(), quickBudget())
 	if _, err := tuner.Run(context.Background(), nil); err == nil {
 		t.Fatal("empty space must error")
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"rooftune/internal/bench"
@@ -22,73 +21,32 @@ type Campaign struct {
 	WallTime  time.Duration
 }
 
-// RunCampaign executes the full campaign. With parallel=true the
-// per-system work runs concurrently — each system uses its own engine,
-// clock and noise streams, so results are bit-identical to the serial
-// run (asserted by TestCampaignParallelDeterminism).
-func (r *Runner) RunCampaign(parallel bool) (*Campaign, error) {
+// RunCampaign executes the full campaign, one system after another;
+// each system's sessions run their sweeps concurrently.
+func (r *Runner) RunCampaign() (*Campaign, error) {
 	//rooflint:allow nodeterminism -- campaign wall time is reporting metadata, never a measured result
 	c := &Campaign{Seed: r.Seed, StartedAt: time.Now()}
-	n := len(r.Systems)
-	c.DGEMM = make([]*DGEMMRun, n)
-	c.Triad = make([]*TriadRun, n)
-	c.Opt = make([]*OptTable, n)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	runSystem := func(i int) {
-		defer wg.Done()
-		sys := r.Systems[i]
+	for _, sys := range r.Systems {
 		dg, err := r.ExhaustiveDefault(sys)
 		if err != nil {
-			record(fmt.Errorf("campaign %s dgemm: %w", sys.Name, err))
-			return
+			return nil, fmt.Errorf("campaign %s dgemm: %w", sys.Name, err)
 		}
 		tr, err := r.RunTriad(sys, bench.DefaultBudget().WithFlags(true, true, false))
 		if err != nil {
-			record(fmt.Errorf("campaign %s triad: %w", sys.Name, err))
-			return
+			return nil, fmt.Errorf("campaign %s triad: %w", sys.Name, err)
 		}
 		opt, err := r.OptimizationTable(sys.Name)
 		if err != nil {
-			record(fmt.Errorf("campaign %s opt: %w", sys.Name, err))
-			return
+			return nil, fmt.Errorf("campaign %s opt: %w", sys.Name, err)
 		}
-		c.DGEMM[i], c.Triad[i], c.Opt[i] = dg, tr, opt
-	}
-
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		if parallel {
-			//rooflint:allow nogoroutine -- per-system fan-out joined by wg.Wait below; determinism asserted by TestCampaignParallelDeterminism
-			go runSystem(i)
-		} else {
-			runSystem(i)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// The Intel comparison depends on the Gold 6132 run.
-	for i, sys := range r.Systems {
+		c.DGEMM = append(c.DGEMM, dg)
+		c.Triad = append(c.Triad, tr)
+		c.Opt = append(c.Opt, opt)
 		if sys.Name == "Gold 6132" {
-			ic, err := r.RunIntelComparison(c.DGEMM[i])
-			if err != nil {
+			// The Intel comparison depends on the Gold 6132 run.
+			if c.Intel, err = r.RunIntelComparison(dg); err != nil {
 				return nil, err
 			}
-			c.Intel = ic
 		}
 	}
 	c.WallTime = time.Since(c.StartedAt) //rooflint:allow nodeterminism -- wall time of the whole campaign, reporting metadata
@@ -128,28 +86,20 @@ func (c *Campaign) MarshalJSON() ([]byte, error) {
 		WallSecs float64     `json:"wall_time_s"`
 	}{Seed: c.Seed, WallSecs: c.WallTime.Seconds()}
 	for _, run := range c.DGEMM {
-		d1, err := BestDims(run.S1)
-		if err != nil {
-			return nil, err
-		}
-		d2, err := BestDims(run.S2)
-		if err != nil {
-			return nil, err
-		}
 		out.DGEMM = append(out.DGEMM, dgemmJSON{
 			System: run.System.Name,
-			FS1:    run.S1.BestValue() / 1e9, FS2: run.S2.BestValue() / 1e9,
-			S1Dims: d1.String(), S2Dims: d2.String(),
+			FS1:    run.S1.Flops.GFLOPS(), FS2: run.S2.Flops.GFLOPS(),
+			S1Dims: run.S1.Dims.String(), S2Dims: run.S2.Dims.String(),
 			TimeSec: run.Total.Seconds(),
 		})
 	}
 	for _, run := range c.Triad {
 		out.Triad = append(out.Triad, triadJSON{
 			System: run.System.Name,
-			DramS1: run.Peak(1, RegionDRAM),
-			DramS2: run.Peak(run.System.Sockets, RegionDRAM),
-			L3S1:   run.Peak(1, RegionL3),
-			L3S2:   run.Peak(run.System.Sockets, RegionL3),
+			DramS1: run.Peak(1, "DRAM"),
+			DramS2: run.Peak(run.System.Sockets, "DRAM"),
+			L3S1:   run.Peak(1, "L3"),
+			L3S2:   run.Peak(run.System.Sockets, "L3"),
 		})
 	}
 	for _, tbl := range c.Opt {

@@ -1,44 +1,34 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
-func TestCampaignParallelDeterminism(t *testing.T) {
+// TestCampaignRerunIdentical: each session runs its sweeps concurrently,
+// and every sweep owns its engine, clock and noise streams, so two
+// campaigns agree in every exported number, whatever the schedule.
+func TestCampaignRerunIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns")
 	}
-	r := New()
-	serial, err := r.RunCampaign(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := r.RunCampaign(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Engines and noise streams are per-system and hash-derived, so the
-	// parallel campaign must be bit-identical to the serial one.
-	for i := range serial.DGEMM {
-		s, p := serial.DGEMM[i], parallel.DGEMM[i]
-		if s.S1.BestValue() != p.S1.BestValue() || s.S2.BestValue() != p.S2.BestValue() {
-			t.Errorf("%s: parallel DGEMM diverged", s.System.Name)
+	var blobs [2][]byte
+	for i := range blobs {
+		c, err := New().RunCampaign()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Total != p.Total {
-			t.Errorf("%s: virtual time diverged: %v vs %v", s.System.Name, s.Total, p.Total)
+		if c.Intel == nil {
+			t.Fatal("Intel comparison missing")
+		}
+		c.WallTime = 0
+		if blobs[i], err = c.MarshalJSON(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for i := range serial.Opt {
-		s, p := serial.Opt[i], parallel.Opt[i]
-		for j := range s.Rows {
-			if s.Rows[j].FS1 != p.Rows[j].FS1 || s.Rows[j].Time != p.Rows[j].Time {
-				t.Errorf("%s %s: parallel opt row diverged", s.System, s.Rows[j].Technique)
-			}
-		}
-	}
-	if serial.Intel == nil || parallel.Intel == nil {
-		t.Fatal("Intel comparison missing")
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("campaign rerun diverged:\n%s\nvs\n%s", blobs[0], blobs[1])
 	}
 }
 
@@ -47,7 +37,7 @@ func TestCampaignJSON(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	r := New()
-	c, err := r.RunCampaign(true)
+	c, err := r.RunCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

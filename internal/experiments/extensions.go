@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rooftune"
 	"rooftune/internal/bench"
 	"rooftune/internal/core"
 	"rooftune/internal/report"
@@ -26,41 +27,35 @@ type ConstraintStudyRow struct {
 // ConstraintStudy reproduces the paper's constraint-specification
 // experiment (§IV-A): "in most cases non-square matrices yield
 // significantly higher performance compared to square matrices". Each
-// space is searched exhaustively with the C+I+O technique on the
-// single-socket configuration.
+// space is searched exhaustively by a "dgemm" session with the C+I+O
+// technique; the study reads the single-socket winner.
 func (r *Runner) ConstraintStudy() ([]ConstraintStudyRow, error) {
 	budget := bench.DefaultBudget().WithFlags(true, true, true)
-	spaces := []struct {
-		name  string
-		space []core.Dims
-	}{
-		{"square", core.SquareDGEMMSpace()},
-		{"m=n", core.ConstrainedMNSpace()},
-		{"full", r.Space},
-	}
 	var rows []ConstraintStudyRow
 	for _, sys := range r.Systems {
 		row := ConstraintStudyRow{System: sys.Name}
-		for _, sp := range spaces {
-			eng := bench.NewSimEngine(sys, r.Seed)
-			tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
-			res, err := tuner.Run(context.Background(), DGEMMCases(eng, sp.space, 1))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: constraint study %s/%s: %w", sys.Name, sp.name, err)
-			}
-			d, err := BestDims(res)
+		for _, sp := range []struct {
+			space []core.Dims
+			value *float64
+			dims  *core.Dims
+		}{
+			{core.SquareDGEMMSpace(), &row.Square, &row.SquareDims},
+			{core.ConstrainedMNSpace(), &row.MNConstrained, &row.MNDims},
+			{r.Space, &row.Full, &row.FullDims},
+		} {
+			res, err := r.session(sys,
+				rooftune.WithWorkloads("dgemm"),
+				rooftune.WithBudget(budget),
+				rooftune.WithSpace(sp.space),
+			)
 			if err != nil {
 				return nil, err
 			}
-			v := res.BestValue() / 1e9
-			switch sp.name {
-			case "square":
-				row.Square, row.SquareDims = v, d
-			case "m=n":
-				row.MNConstrained, row.MNDims = v, d
-			default:
-				row.Full, row.FullDims = v, d
+			s1, err := computeAt(res, 1)
+			if err != nil {
+				return nil, err
 			}
+			*sp.value, *sp.dims = s1.Flops.GFLOPS(), s1.Dims
 		}
 		rows = append(rows, row)
 	}
@@ -91,14 +86,14 @@ func Table6Extended(runs []*TriadRun) *report.Table {
 		"System", "B_L1,S1", "B_L2,S1", "B_L3,S1", "B_DRAM,S1")
 	for _, run := range runs {
 		t.AddRow(run.System.Name,
-			fmt.Sprintf("%.2f", run.Peak(1, RegionL1)),
-			fmt.Sprintf("%.2f", run.Peak(1, RegionL2)),
-			fmt.Sprintf("%.2f", run.Peak(1, RegionL3)),
-			fmt.Sprintf("%.2f", run.Peak(1, RegionDRAM)),
+			fmt.Sprintf("%.2f", run.Peak(1, "L1")),
+			fmt.Sprintf("%.2f", run.Peak(1, "L2")),
+			fmt.Sprintf("%.2f", run.Peak(1, "L3")),
+			fmt.Sprintf("%.2f", run.Peak(1, "DRAM")),
 		)
 	}
 	t.AddNote("L1/L2 figures are model extrapolations (no published calibration data).")
-	t.AddNote("L1 readings clip at the gettimeofday resolution: one pass over an L1-sized set completes in under a microsecond — the reason the paper stops at L3 (§IV-B).")
+	t.AddNote("The L1/L2 sweeps batch passes per timed step (simstream.DefaultMinMeasuredPass): one pass over an L1- or L2-sized set completes in under a microsecond, below the gettimeofday resolution the paper cites for stopping at L3 (§IV-B).")
 	return t
 }
 
@@ -131,7 +126,7 @@ func (r *Runner) SecondChanceStudy() (*SecondChanceStudyRow, error) {
 
 	// Plain run (single-socket sweep, where the anomaly shows).
 	eng := bench.NewSimEngine(sys, r.Seed)
-	tuner := core.NewTuner(eng.Clock, tech.Budget, tech.Order)
+	tuner := core.NewTuner(eng.Clock, tech.Budget)
 	plain, err := tuner.Run(context.Background(), DGEMMCases(eng, r.Space, 1))
 	if err != nil {
 		return nil, err
@@ -143,7 +138,7 @@ func (r *Runner) SecondChanceStudy() (*SecondChanceStudyRow, error) {
 
 	// Second-chance run on a fresh engine (same seed: identical noise).
 	eng2 := bench.NewSimEngine(sys, r.Seed)
-	tuner2 := core.NewTuner(eng2.Clock, tech.Budget, tech.Order)
+	tuner2 := core.NewTuner(eng2.Clock, tech.Budget)
 	fixed, err := tuner2.RunWithSecondChance(context.Background(), DGEMMCases(eng2, r.Space, 1), core.DefaultSecondChance())
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"rooftune/internal/core"
 	"rooftune/internal/report"
 	"rooftune/internal/roofline"
+	"rooftune/internal/units"
 )
 
 // Fig1 builds the example roofline of the paper's Fig. 1: four memory
@@ -22,21 +23,20 @@ func Fig1(dgemm *DGEMMRun, triad *TriadRun) (*roofline.Model, error) {
 	}
 	sys := dgemm.System
 	m := &roofline.Model{Title: fmt.Sprintf("Roofline model: %s (measured)", sys.Name)}
-	m.AddMemory("DRAM, 1 socket", bwOf(triad, 1, RegionDRAM))
-	m.AddMemory("L3 cache, 1 socket", bwOf(triad, 1, RegionL3))
+	m.AddMemory("DRAM, 1 socket", bwOf(triad, 1, "DRAM"))
+	m.AddMemory("L3 cache, 1 socket", bwOf(triad, 1, "L3"))
 	if sys.Sockets > 1 {
-		m.AddMemory(fmt.Sprintf("DRAM, %d sockets", sys.Sockets), bwOf(triad, sys.Sockets, RegionDRAM))
-		m.AddMemory(fmt.Sprintf("L3 cache, %d sockets", sys.Sockets), bwOf(triad, sys.Sockets, RegionL3))
+		m.AddMemory(fmt.Sprintf("DRAM, %d sockets", sys.Sockets), bwOf(triad, sys.Sockets, "DRAM"))
+		m.AddMemory(fmt.Sprintf("L3 cache, %d sockets", sys.Sockets), bwOf(triad, sys.Sockets, "L3"))
 	}
-	m.AddCompute("DGEMM peak, 1 socket", flopsOf(dgemm.S1))
+	m.AddCompute("DGEMM peak, 1 socket", dgemm.S1.Flops)
 	if sys.Sockets > 1 {
-		m.AddCompute(fmt.Sprintf("DGEMM peak, %d sockets", sys.Sockets), flopsOf(dgemm.S2))
+		m.AddCompute(fmt.Sprintf("DGEMM peak, %d sockets", sys.Sockets), dgemm.S2.Flops)
 	}
 	// Application points: TRIAD at I = 1/12, DGEMM at its (high) intensity.
-	m.AddPoint("TRIAD", 1.0/12, flopsFromBandwidth(bwOf(triad, sys.Sockets, RegionDRAM)))
-	if d, err := BestDims(dgemm.S2); err == nil {
-		m.AddPoint("DGEMM", dgemmIntensity(d), flopsOf(dgemm.S2))
-	}
+	m.AddPoint("TRIAD", 1.0/12, flopsFromBandwidth(bwOf(triad, sys.Sockets, "DRAM")))
+	d := dgemm.S2.Dims
+	m.AddPoint("DGEMM", units.DGEMMIntensity(d.N, d.M, d.K), dgemm.S2.Flops)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,9 +52,9 @@ func Fig3(runs []*DGEMMRun) *report.Figure {
 	var m1, t1, m2, t2 []float64
 	for _, run := range runs {
 		labels = append(labels, run.System.Name)
-		m1 = append(m1, run.S1.BestValue()/1e9)
+		m1 = append(m1, run.S1.Flops.GFLOPS())
 		t1 = append(t1, run.System.TheoreticalFlops(1).GFLOPS())
-		m2 = append(m2, run.S2.BestValue()/1e9)
+		m2 = append(m2, run.S2.Flops.GFLOPS())
 		t2 = append(t2, run.System.TheoreticalFlops(run.System.Sockets).GFLOPS())
 	}
 	f.Add(report.Series{Name: "measured S1", Labels: labels, Y: m1})
@@ -74,12 +74,12 @@ func Fig4(runs []*TriadRun) *report.Figure {
 	for _, run := range runs {
 		sys := run.System
 		labels = append(labels, sys.Name)
-		d1 = append(d1, run.Peak(1, RegionDRAM))
+		d1 = append(d1, run.Peak(1, "DRAM"))
 		t1 = append(t1, sys.TheoreticalBandwidth(1).GBps())
-		d2 = append(d2, run.Peak(sys.Sockets, RegionDRAM))
+		d2 = append(d2, run.Peak(sys.Sockets, "DRAM"))
 		t2 = append(t2, sys.TheoreticalBandwidth(sys.Sockets).GBps())
-		l1 = append(l1, run.Peak(1, RegionL3))
-		l2 = append(l2, run.Peak(sys.Sockets, RegionL3))
+		l1 = append(l1, run.Peak(1, "L3"))
+		l2 = append(l2, run.Peak(sys.Sockets, "L3"))
 	}
 	f.Add(report.Series{Name: "DRAM S1", Labels: labels, Y: d1})
 	f.Add(report.Series{Name: "theoretical S1", Labels: labels, Y: t1})
@@ -138,7 +138,7 @@ func (r *Runner) Fig6Data(sysName string) ([]Fig6Point, error) {
 	budget.MaxIterations = 20
 
 	eng := bench.NewSimEngine(system, r.Seed)
-	tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
+	tuner := core.NewTuner(eng.Clock, budget)
 	res, err := tuner.Run(context.Background(), DGEMMCases(eng, r.Space, 1))
 	if err != nil {
 		return nil, err

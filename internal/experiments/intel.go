@@ -56,10 +56,8 @@ func (r *Runner) RunIntelComparison(gold6132 *DGEMMRun) (*IntelComparison, error
 	}
 	out.Gold6132Square = o2.Mean / 1e9
 	out.Gold6132Peak = g.TheoreticalFlops(g.Sockets).GFLOPS()
-	out.Gold6132Autotuned = gold6132.S2.BestValue() / 1e9
-	if d, err := BestDims(gold6132.S2); err == nil {
-		out.Gold6132AutotunedAt = d.String()
-	}
+	out.Gold6132Autotuned = gold6132.S2.Flops.GFLOPS()
+	out.Gold6132AutotunedAt = gold6132.S2.Dims.String()
 	return out, nil
 }
 

@@ -47,10 +47,7 @@ func (r *Runner) OptimizationTable(sys string) (*OptTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := makeOptRow(run, tech.Name, defaultTime)
-		if err != nil {
-			return nil, err
-		}
+		row := makeOptRow(run, tech.Name, defaultTime)
 		if tech.Name == "Default" {
 			defaultTime = run.Total
 			row.Speedup = 1
@@ -68,37 +65,25 @@ func (r *Runner) OptimizationTable(sys string) (*OptTable, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := makeOptRow(run, name+" (min100)", defaultTime)
-			if err != nil {
-				return nil, err
-			}
-			out.MinCountRows = append(out.MinCountRows, row)
+			out.MinCountRows = append(out.MinCountRows, makeOptRow(run, name+" (min100)", defaultTime))
 		}
 	}
 	return out, nil
 }
 
-func makeOptRow(run *DGEMMRun, name string, defaultTime time.Duration) (OptRow, error) {
-	d1, err := BestDims(run.S1)
-	if err != nil {
-		return OptRow{}, err
-	}
-	d2, err := BestDims(run.S2)
-	if err != nil {
-		return OptRow{}, err
-	}
+func makeOptRow(run *DGEMMRun, name string, defaultTime time.Duration) OptRow {
 	row := OptRow{
 		Technique: name,
-		FS1:       run.S1.BestValue() / 1e9,
-		FS2:       run.S2.BestValue() / 1e9,
+		FS1:       run.S1.Flops.GFLOPS(),
+		FS2:       run.S2.Flops.GFLOPS(),
 		Time:      run.Total,
-		S1Dims:    d1,
-		S2Dims:    d2,
+		S1Dims:    run.S1.Dims,
+		S2Dims:    run.S2.Dims,
 	}
 	if defaultTime > 0 {
 		row.Speedup = defaultTime.Seconds() / run.Total.Seconds()
 	}
-	return row, nil
+	return row
 }
 
 // Render formats the table in the paper's layout.

@@ -30,8 +30,8 @@ func TestTable4And5Reproduction(t *testing.T) {
 		paper5 := PaperTable5[name]
 
 		// Peaks within 1.5% of Table IV.
-		fs1 := run.S1.BestValue() / 1e9
-		fs2 := run.S2.BestValue() / 1e9
+		fs1 := run.S1.Flops.GFLOPS()
+		fs2 := run.S2.Flops.GFLOPS()
 		if math.Abs(fs1-paper4.FS1)/paper4.FS1 > 0.015 {
 			t.Errorf("%s FS1 = %.2f, paper %.2f", name, fs1, paper4.FS1)
 		}
@@ -40,14 +40,7 @@ func TestTable4And5Reproduction(t *testing.T) {
 		}
 
 		// Exact winning dimensions of Table V.
-		d1, err := BestDims(run.S1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := BestDims(run.S2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d1, d2 := run.S1.Dims, run.S2.Dims
 		if d1 != paper5.S1 {
 			t.Errorf("%s S1 dims = %v, paper %v", name, d1, paper5.S1)
 		}
@@ -64,7 +57,7 @@ func TestTable4And5Reproduction(t *testing.T) {
 	}
 	// AVX2-era systems show higher utilisation than AVX-512 ones (§VI-A).
 	util := func(i int) float64 {
-		return runs[i].S1.BestValue() / float64(runs[i].System.TheoreticalFlops(1))
+		return float64(runs[i].S1.Flops) / float64(runs[i].System.TheoreticalFlops(1))
 	}
 	if !(util(0) > util(2) && util(1) > util(2) && util(0) > util(3)) {
 		t.Error("AVX2 systems must utilise better than AVX-512 systems")
@@ -88,14 +81,14 @@ func TestTable6Reproduction(t *testing.T) {
 				t.Errorf("%s %s = %.2f GB/s, paper %.2f", name, label, got, want)
 			}
 		}
-		check("DRAM S1", run.Peak(1, RegionDRAM), paper.DramS1, 0.02)
-		check("DRAM S2", run.Peak(run.System.Sockets, RegionDRAM), paper.DramS2, 0.02)
+		check("DRAM S1", run.Peak(1, "DRAM"), paper.DramS1, 0.02)
+		check("DRAM S2", run.Peak(run.System.Sockets, "DRAM"), paper.DramS2, 0.02)
 		// L3 means include loop overhead and warm-up: 3% tolerance.
-		check("L3 S1", run.Peak(1, RegionL3), paper.L3S1, 0.03)
-		check("L3 S2", run.Peak(run.System.Sockets, RegionL3), paper.L3S2, 0.03)
+		check("L3 S1", run.Peak(1, "L3"), paper.L3S1, 0.03)
+		check("L3 S2", run.Peak(run.System.Sockets, "L3"), paper.L3S2, 0.03)
 
 		// The paper's headline: measured DRAM beats theoretical.
-		if run.Peak(1, RegionDRAM) <= run.System.TheoreticalBandwidth(1).GBps()*0.99 {
+		if run.Peak(1, "DRAM") <= run.System.TheoreticalBandwidth(1).GBps()*0.99 {
 			t.Errorf("%s: DRAM S1 should be at or above theoretical", name)
 		}
 	}

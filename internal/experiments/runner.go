@@ -1,8 +1,12 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation, regenerating each artifact from the simulated
-// engines (or, where meaningful, the native engine). The drivers return
-// report.Table / report.Figure values plus the raw data, so tests can
-// assert reproduction tolerances and cmd/experiments can render any
+// engines. Tables IV-VI and VIII-XI, the constraint study and the
+// extended Table VI run through rooftune.New, the same Session a user
+// runs; the per-case artifacts (Fig. 6, the second-chance and
+// distribution studies, the single-case Intel comparison) read outcomes
+// a Result does not carry and drive core and bench directly. The drivers
+// return report.Table / report.Figure values plus the raw data, so tests
+// can assert reproduction tolerances and cmd/experiments can render any
 // format.
 package experiments
 
@@ -11,10 +15,10 @@ import (
 	"fmt"
 	"time"
 
+	"rooftune"
 	"rooftune/internal/bench"
 	"rooftune/internal/core"
 	"rooftune/internal/hw"
-	"rooftune/internal/units"
 )
 
 // DefaultSeed is the noise seed used for all published-artifact
@@ -49,12 +53,30 @@ func DGEMMCases(eng *bench.SimEngine, space []core.Dims, sockets int) []bench.Ca
 	return cases
 }
 
+// session runs one rooftune session on a simulated system under the
+// runner's seed. Seed 0 is refused: rooftune.WithSeed(0) selects the
+// default seed, so the run would not be the seed the runner reports.
+func (r *Runner) session(sys hw.System, opts ...rooftune.Option) (*rooftune.Result, error) {
+	if r.Seed == 0 {
+		return nil, fmt.Errorf("experiments: seed 0 selects the session default (%d); name a seed", DefaultSeed)
+	}
+	sess, err := rooftune.New(append([]rooftune.Option{rooftune.WithSystemSpec(sys), rooftune.WithSeed(r.Seed)}, opts...)...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", sys.Name, err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", sys.Name, err)
+	}
+	return res, nil
+}
+
 // DGEMMRun is the result of applying one technique to one system: the
-// single-socket and dual-socket sweeps and their combined cost.
+// single-socket and dual-socket winners and their combined cost.
 type DGEMMRun struct {
 	System    hw.System
 	Technique core.Technique
-	S1, S2    *core.Result
+	S1, S2    rooftune.ComputePoint
 	// Total is the combined virtual search time of both sweeps — the
 	// paper's "Time" column.
 	Total time.Duration
@@ -75,143 +97,76 @@ func BestDims(res *core.Result) (core.Dims, error) {
 	return core.ConfigDims(cfg), nil
 }
 
-// RunDGEMMTechnique runs one technique's full DGEMM search (single-socket
-// sweep then dual-socket sweep on the same engine and clock, like the
-// paper's per-system benchmark campaign).
+// RunDGEMMTechnique runs one technique's full DGEMM search: a "dgemm"
+// session whose single- and dual-socket sweeps both traverse the
+// runner's space in the technique's order.
 func (r *Runner) RunDGEMMTechnique(sys hw.System, tech core.Technique) (*DGEMMRun, error) {
-	eng := bench.NewSimEngine(sys, r.Seed)
-	run := &DGEMMRun{System: sys, Technique: tech}
-
-	t1 := core.NewTuner(eng.Clock, tech.Budget, tech.Order)
-	s1, err := t1.Run(context.Background(), DGEMMCases(eng, r.Space, 1))
+	res, err := r.session(sys,
+		rooftune.WithWorkloads("dgemm"),
+		rooftune.WithBudget(tech.Budget),
+		rooftune.WithSpace(core.Arrange(r.Space, tech.Order, r.Seed)),
+	)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s S1 sweep: %w", sys.Name, err)
+		return nil, err
 	}
-	run.S1 = s1
-
-	t2 := core.NewTuner(eng.Clock, tech.Budget, tech.Order)
-	s2, err := t2.Run(context.Background(), DGEMMCases(eng, r.Space, sys.Sockets))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s S2 sweep: %w", sys.Name, err)
+	run := &DGEMMRun{System: sys, Technique: tech, Total: res.SearchTime}
+	if run.S1, err = computeAt(res, 1); err != nil {
+		return nil, err
 	}
-	run.S2 = s2
-	run.Total = eng.Clock.Now()
+	if run.S2, err = computeAt(res, sys.Sockets); err != nil {
+		return nil, err
+	}
 	return run, nil
+}
+
+// computeAt returns the session's compute winner for a socket count.
+func computeAt(res *rooftune.Result, sockets int) (rooftune.ComputePoint, error) {
+	for _, c := range res.Compute {
+		if c.Sockets == sockets {
+			return c, nil
+		}
+	}
+	return rooftune.ComputePoint{}, fmt.Errorf("experiments: %s has no %d-socket compute point", res.SystemName, sockets)
 }
 
 // ExhaustiveDefault runs the Default technique (Table I budget, no
 // optimisations) — the run that defines Tables IV and V.
 func (r *Runner) ExhaustiveDefault(sys hw.System) (*DGEMMRun, error) {
-	return r.RunDGEMMTechnique(sys, core.Technique{
-		Name:   "Default",
-		Budget: bench.DefaultBudget(),
-		Order:  core.OrderForward,
-	})
+	return r.RunDGEMMTechnique(sys, core.Technique{Name: "Default", Budget: bench.DefaultBudget()})
 }
 
-// TriadRegion identifies a residency class of the TRIAD sweep.
-type TriadRegion int
-
-// Residency regions of the TRIAD working-set sweep. The paper measures
-// DRAM and L3 (§IV-B); L1 and L2 are the future-work extension (§VII).
-const (
-	RegionDRAM TriadRegion = iota
-	RegionL3
-	RegionL2
-	RegionL1
-)
-
-// String names the region.
-func (tr TriadRegion) String() string {
-	switch tr {
-	case RegionDRAM:
-		return "DRAM"
-	case RegionL3:
-		return "L3"
-	case RegionL2:
-		return "L2"
-	default:
-		return "L1"
-	}
-}
-
-// triadRegionOf classifies a working set against the system's hierarchy,
-// mirroring the boundaries used by the bandwidth model.
-func triadRegionOf(sys hw.System, elems, sockets int) TriadRegion {
-	w := float64(units.TriadBytes(elems))
-	cores := float64(sys.Cores(sockets))
-	l1 := float64(sys.L1PerCore) * cores
-	l2 := float64(sys.L2PerCore) * cores
-	l3 := float64(sys.L3Total(sockets))
-	switch {
-	case w <= l1:
-		return RegionL1
-	case w <= l2:
-		return RegionL2
-	case w <= 0.9*l3:
-		return RegionL3
-	case w >= 4*l3:
-		return RegionDRAM
-	default:
-		// Transition zone around the L3 capacity edge: excluded from both
-		// regions' reported peaks, as the paper does by picking sizes that
-		// clearly fit or clearly spill.
-		return TriadRegion(-1)
-	}
-}
-
-// TriadRun holds one system's TRIAD results: the per-region peak outcome
-// for each socket configuration.
+// TriadRun holds one system's TRIAD results: a bandwidth ceiling per
+// residency region (L1, L2, L3, DRAM) and socket configuration.
 type TriadRun struct {
 	System hw.System
-	// Peaks[sockets][region] is the best outcome of that region's search.
-	Peaks map[int]map[TriadRegion]*bench.Outcome
-	Total time.Duration
+	Memory []rooftune.MemoryPoint
+	Total  time.Duration
 }
 
-// Peak returns the region peak in GB/s, or 0 when absent.
-func (t *TriadRun) Peak(sockets int, region TriadRegion) float64 {
-	if m, ok := t.Peaks[sockets]; ok {
-		if o, ok := m[region]; ok && o != nil {
-			return o.Mean / 1e9
+// Peak returns the region's ceiling in GB/s, or 0 when absent.
+func (t *TriadRun) Peak(sockets int, region string) float64 {
+	for _, m := range t.Memory {
+		if m.Sockets == sockets && m.Region == region {
+			return m.Bandwidth.GBps()
 		}
 	}
 	return 0
 }
 
-// RunTriad performs the TRIAD autotuning campaign for a system: for each
-// socket configuration, a separate search per residency region (searching
-// globally would let stop condition 4 prune every DRAM-resident size
-// against the faster L3 sizes). Affinity follows §III-B: close for
-// single-socket runs, spread across sockets otherwise.
+// RunTriad performs the TRIAD autotuning campaign for a system: a
+// "triad" session with one search per socket configuration and
+// residency region (searching globally would let stop condition 4 prune
+// every DRAM-resident size against the faster cache sizes). Affinity
+// follows §III-B: close for single-socket runs, spread across sockets
+// otherwise.
 func (r *Runner) RunTriad(sys hw.System, budget bench.Budget) (*TriadRun, error) {
-	eng := bench.NewSimEngine(sys, r.Seed)
-	run := &TriadRun{System: sys, Peaks: map[int]map[TriadRegion]*bench.Outcome{}}
-	space := core.TriadSpace()
-
-	for _, sockets := range sys.SocketConfigs() {
-		aff := hw.AffinityClose
-		if sockets > 1 {
-			aff = hw.AffinitySpread
-		}
-		regions := map[TriadRegion][]bench.Case{}
-		for _, elems := range space {
-			region := triadRegionOf(sys, elems, sockets)
-			if region < 0 {
-				continue
-			}
-			regions[region] = append(regions[region], eng.TriadCase(elems, aff, sockets))
-		}
-		run.Peaks[sockets] = map[TriadRegion]*bench.Outcome{}
-		for region, cases := range regions {
-			tuner := core.NewTuner(eng.Clock, budget, core.OrderForward)
-			res, err := tuner.Run(context.Background(), cases)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s TRIAD %v S%d: %w", sys.Name, region, sockets, err)
-			}
-			run.Peaks[sockets][region] = res.Best
-		}
+	res, err := r.session(sys,
+		rooftune.WithWorkloads("triad"),
+		rooftune.WithTriadLevels("L1", "L2", "L3", "DRAM"),
+		rooftune.WithBudget(budget),
+	)
+	if err != nil {
+		return nil, err
 	}
-	run.Total = eng.Clock.Now()
-	return run, nil
+	return &TriadRun{System: sys, Memory: res.Memory, Total: res.SearchTime}, nil
 }

@@ -82,29 +82,21 @@ func Table4(runs []*DGEMMRun) *report.Table {
 		ft1 := float64(run.System.TheoreticalFlops(1))
 		ft2 := float64(run.System.TheoreticalFlops(run.System.Sockets))
 		t.AddRow(run.System.Name,
-			fmt.Sprintf("%.2f (%s)", run.S1.BestValue()/1e9, units.Percent(run.S1.BestValue(), ft1)),
-			fmt.Sprintf("%.2f (%s)", run.S2.BestValue()/1e9, units.Percent(run.S2.BestValue(), ft2)),
+			fmt.Sprintf("%.2f (%s)", run.S1.Flops.GFLOPS(), units.Percent(float64(run.S1.Flops), ft1)),
+			fmt.Sprintf("%.2f (%s)", run.S2.Flops.GFLOPS(), units.Percent(float64(run.S2.Flops), ft2)),
 		)
 	}
 	return t
 }
 
 // Table5 renders the winning dimensions (Table V).
-func Table5(runs []*DGEMMRun) (*report.Table, error) {
+func Table5(runs []*DGEMMRun) *report.Table {
 	t := report.NewTable("Table V: Dimensions for the corresponding results from Table IV",
 		"System", "FS1: n,m,k", "FS2: n,m,k")
 	for _, run := range runs {
-		d1, err := BestDims(run.S1)
-		if err != nil {
-			return nil, err
-		}
-		d2, err := BestDims(run.S2)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(run.System.Name, d1.String(), d2.String())
+		t.AddRow(run.System.Name, run.S1.Dims.String(), run.S2.Dims.String())
 	}
-	return t, nil
+	return t
 }
 
 // Table6Data runs the TRIAD campaign for every system.
@@ -129,13 +121,13 @@ func Table6(runs []*TriadRun) *report.Table {
 		sys := run.System
 		bt1 := sys.TheoreticalBandwidth(1).GBps()
 		bt2 := sys.TheoreticalBandwidth(sys.Sockets).GBps()
-		d1 := run.Peak(1, RegionDRAM)
-		d2 := run.Peak(sys.Sockets, RegionDRAM)
+		d1 := run.Peak(1, "DRAM")
+		d2 := run.Peak(sys.Sockets, "DRAM")
 		t.AddRow(sys.Name,
 			fmt.Sprintf("%.2f (%s)", d1, units.Percent(d1, bt1)),
 			fmt.Sprintf("%.2f (%s)", d2, units.Percent(d2, bt2)),
-			fmt.Sprintf("%.2f", run.Peak(1, RegionL3)),
-			fmt.Sprintf("%.2f", run.Peak(sys.Sockets, RegionL3)),
+			fmt.Sprintf("%.2f", run.Peak(1, "L3")),
+			fmt.Sprintf("%.2f", run.Peak(sys.Sockets, "L3")),
 		)
 	}
 	t.AddNote("DRAM percentages exceed 100%: residual L3 hits assist DRAM-resident sweeps, as the paper observes.")

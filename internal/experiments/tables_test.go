@@ -8,7 +8,6 @@ import (
 	"rooftune/internal/bench"
 	"rooftune/internal/core"
 	"rooftune/internal/hw"
-	"rooftune/internal/units"
 )
 
 func TestTable1Render(t *testing.T) {
@@ -55,36 +54,6 @@ func TestSystemByName(t *testing.T) {
 	}
 	if _, err := r.SystemByName("nope"); err == nil {
 		t.Fatal("unknown system must error")
-	}
-}
-
-func TestTriadRegionClassification(t *testing.T) {
-	sys := hw.IdunE52650v4 // L1 384 KiB, L2 3 MiB, L3 30 MiB (S1 aggregates)
-	cases := []struct {
-		bytes  units.ByteSize
-		region TriadRegion
-	}{
-		{100 * units.KiB, RegionL1},
-		{units.MiB, RegionL2},
-		{12 * units.MiB, RegionL3},
-		{units.ByteSize(28 * float64(units.MiB)), TriadRegion(-1)}, // transition zone
-		{256 * units.MiB, RegionDRAM},
-	}
-	for _, c := range cases {
-		elems := int(c.bytes / 24)
-		if got := triadRegionOf(sys, elems, 1); got != c.region {
-			t.Errorf("region of %v = %v, want %v", c.bytes, got, c.region)
-		}
-	}
-}
-
-func TestTriadRegionNames(t *testing.T) {
-	for region, want := range map[TriadRegion]string{
-		RegionDRAM: "DRAM", RegionL3: "L3", RegionL2: "L2", RegionL1: "L1",
-	} {
-		if region.String() != want {
-			t.Errorf("region name %v", region)
-		}
 	}
 }
 

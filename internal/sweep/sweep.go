@@ -7,8 +7,7 @@
 // clock, and the simulated engines derive every noise sample by hashing
 // (seed, configuration, invocation) rather than engine state. The runner
 // may therefore execute sweeps concurrently with results bit-identical
-// to serial execution (asserted by TestRunParallelDeterminism), mirroring
-// the guarantee experiments.RunCampaign already makes per system. Within
+// to serial execution (asserted by TestRunParallelDeterminism). Within
 // one sweep, cases are always evaluated serially (core.Tuner): stop
 // condition 4 prunes against the incumbent, which is sequential state.
 //
@@ -88,7 +87,7 @@ type Hooks struct {
 }
 
 // Runner executes sweeps with a shared budget; every sweep traverses
-// its cases in plan order (core.OrderForward).
+// its cases in plan order.
 type Runner struct {
 	Budget bench.Budget
 	// Host is the runner's only parallelism knob: how many sweeps may
@@ -210,7 +209,7 @@ func (r *Runner) runOne(ctx context.Context, s Spec, sd seed) (Outcome, error) {
 	if r.Hooks.SweepStarted != nil {
 		r.Hooks.SweepStarted(s.Name, len(s.Cases))
 	}
-	tuner := core.NewTuner(s.Clock, r.Budget, core.OrderForward)
+	tuner := core.NewTuner(s.Clock, r.Budget)
 	tuner.Incumbent = sd.value
 	if r.Hooks.CaseEvaluated != nil {
 		tuner.OnOutcome = func(out *bench.Outcome) { r.Hooks.CaseEvaluated(s.Name, out) }

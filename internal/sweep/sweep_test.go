@@ -87,8 +87,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bit-identical: every outcome — winner configs, all means, sample
-	// counts, virtual elapsed times — must match exactly, mirroring
-	// RunCampaign's serial/parallel guarantee.
+	// counts, virtual elapsed times — must match exactly.
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}

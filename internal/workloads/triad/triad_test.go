@@ -243,3 +243,34 @@ func TestPlanInvertedBounds(t *testing.T) {
 		t.Fatal("inverted bounds must error")
 	}
 }
+
+// TestTriadRegionClassification: on the 2650v4's single socket (L1 384
+// KiB, L2 3 MiB, L3 30 MiB aggregate), each working set falls in exactly
+// the residency region its size implies. 28 MiB sits in the transition
+// zone around the L3 capacity edge and belongs to no region, neither L3
+// nor DRAM, so no ceiling averages across the edge.
+func TestTriadRegionClassification(t *testing.T) {
+	sys := hw.IdunE52650v4
+	for _, c := range []struct {
+		bytes units.ByteSize
+		want  string // "" for the transition zone
+	}{
+		{100 * units.KiB, "L1"},
+		{units.MiB, "L2"},
+		{12 * units.MiB, "L3"},
+		{units.ByteSize(28 * float64(units.MiB)), ""},
+		{256 * units.MiB, "DRAM"},
+	} {
+		w := units.TriadBytes(int(c.bytes / 24))
+		var in []string
+		for _, level := range hw.CacheLevels() {
+			if regionBounds(sys, 1, level)(w) {
+				in = append(in, level)
+			}
+		}
+		got := strings.Join(in, ",")
+		if got != c.want {
+			t.Errorf("%v falls in regions %q, want %q", c.bytes, got, c.want)
+		}
+	}
+}

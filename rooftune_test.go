@@ -201,7 +201,7 @@ func TestSimulatedWinningDims(t *testing.T) {
 		cases[i] = eng.DGEMMCase(d.N, d.M, d.K, 1)
 	}
 	b := bench.DefaultBudget().WithFlags(true, true, true)
-	r, err := core.NewTuner(eng.Clock, b, core.OrderForward).Run(context.Background(), cases)
+	r, err := core.NewTuner(eng.Clock, b).Run(context.Background(), cases)
 	if err != nil {
 		t.Fatal(err)
 	}
