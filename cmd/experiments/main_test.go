@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -48,5 +49,26 @@ func TestOptimizationTablesInPaperOrder(t *testing.T) {
 		} else if string(out) != string(first) {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", run, out, first)
 		}
+	}
+}
+
+// TestSeedZeroRejected: seed 0 would run every session under the default
+// seed while the output names seed 0, so the command refuses it before
+// running anything.
+func TestSeedZeroRejected(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-seed", "0", "-artifact", "table1")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-seed 0: err = %v, want exit status 1", err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("-seed 0 printed output:\n%s", out)
+	}
+	if !strings.Contains(stderr.String(), "-seed 0") {
+		t.Fatalf("stderr does not name the rejected seed: %q", stderr.String())
 	}
 }

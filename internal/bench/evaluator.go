@@ -61,13 +61,18 @@ func (o *Outcome) Better(best float64) bool {
 }
 
 // Evaluator runs the Fig. 2 benchmarking process for one configuration at
-// a time against a clock.
+// a time against a clock; it is not safe for concurrent use.
 type Evaluator struct {
 	Clock  vclock.Clock
 	Budget Budget
 	// Sampler, when non-nil, observes every measured iteration (the
 	// §VII time-series hook).
 	Sampler Sampler
+
+	// zLevel and z memoize the normal quantile of the last evaluation's
+	// CI level (zLevel 0 until the first evaluation; a normalized level
+	// is never 0), so it is recomputed only when Budget.CILevel changes.
+	zLevel, z float64
 }
 
 // NewEvaluator builds an evaluator with the budget's defaults normalised.
@@ -92,7 +97,7 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 //rooflint:hotpath
 func (e *Evaluator) Evaluate(ctx context.Context, c Case, best float64) (*Outcome, error) {
 	b := e.Budget.normalized()
-	ci := newIntervals(b)
+	ci := e.intervals(b)
 	done := ctx.Done()
 	out := &Outcome{Key: c.Key(), Config: c.Config(), Describe: c.Describe(), Metric: c.Metric()}
 	out.Invocations = make([]InvocationResult, 0, b.Invocations)
@@ -268,8 +273,8 @@ func fired(done <-chan struct{}) bool {
 }
 
 // intervals builds the confidence intervals of one evaluation. The
-// normal quantile depends only on the budget's level, so it is computed
-// once per evaluation rather than once per sample.
+// normal quantile depends only on the budget's level, so the evaluator
+// computes it once per level rather than once per evaluation or sample.
 type intervals struct {
 	studentT bool
 	level    float64
@@ -277,10 +282,13 @@ type intervals struct {
 	z2       float64 // z*z
 }
 
-func newIntervals(b Budget) intervals {
+func (e *Evaluator) intervals(b Budget) intervals {
 	ci := intervals{studentT: b.UseStudentT, level: b.CILevel}
 	if !ci.studentT {
-		ci.z = stats.NormalQuantile(0.5 + b.CILevel/2)
+		if e.zLevel != b.CILevel {
+			e.zLevel, e.z = b.CILevel, stats.NormalQuantile(0.5+b.CILevel/2)
+		}
+		ci.z = e.z
 		ci.z2 = ci.z * ci.z
 	}
 	return ci

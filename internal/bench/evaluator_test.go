@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rooftune/internal/hw"
 	"rooftune/internal/vclock"
 )
 
@@ -497,3 +499,40 @@ func TestEvaluateErrPerInvocation(t *testing.T) {
 type samplerFunc func()
 
 func (f samplerFunc) Sample(string, int, int, time.Duration, float64) { f() }
+
+// TestEvaluatorQuantileFollowsLevel: the evaluator memoizes the normal
+// quantile of its CI level, and Budget is an exported field, so a level
+// changed between evaluations must take effect: each outcome equals a
+// fresh evaluator's at that level.
+func TestEvaluatorQuantileFollowsLevel(t *testing.T) {
+	ctx := context.Background()
+	budget := func(level float64) Budget {
+		b := DefaultBudget().WithFlags(true, false, false)
+		b.CILevel = level
+		return b
+	}
+	reused := NewSimEngine(hw.IdunGold6148, 1021)
+	c := reused.DGEMMCase(1000, 4096, 128, 1)
+	e := NewEvaluator(reused.Clock, budget(0.99))
+	fresh := NewSimEngine(hw.IdunGold6148, 1021)
+	fc := fresh.DGEMMCase(1000, 4096, 128, 1)
+	var samples []int
+	for _, level := range []float64{0.99, 0.5, 0.99} {
+		e.Budget.CILevel = level
+		got, err := e.Evaluate(ctx, c, NoBest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEvaluator(fresh.Clock, budget(level)).Evaluate(ctx, fc, NoBest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("level %v: reused evaluator's outcome differs from a fresh one's:\n%+v\n%+v", level, got, want)
+		}
+		samples = append(samples, got.TotalSamples)
+	}
+	if samples[1] >= samples[0] {
+		t.Fatalf("samples %v: a 50%% interval must converge sooner than a 99%% one", samples)
+	}
+}

@@ -124,7 +124,7 @@ func TestStopDecisionMatchesInterval(t *testing.T) {
 	states := 0
 	for states < 1000000 {
 		level := randomLevel(rng)
-		ci := newIntervals(Budget{CILevel: level, UseStudentT: rng.Intn(50) == 0})
+		ci := new(Evaluator).intervals(Budget{CILevel: level, UseStudentT: rng.Intn(50) == 0})
 		xs := randomStream(rng, 2+rng.Intn(40))
 		var w stats.Welford
 		for i, x := range xs {
@@ -160,7 +160,7 @@ func FuzzStopDecision(f *testing.F) {
 		if n < 2 {
 			n = 2
 		}
-		ci := newIntervals(Budget{CILevel: level, UseStudentT: student}.normalized())
+		ci := new(Evaluator).intervals(Budget{CILevel: level, UseStudentT: student}.normalized())
 		var w stats.Welford
 		xs := [3]float64{a, b, c}
 		for i := 0; i < int(n); i++ {

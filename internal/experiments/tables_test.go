@@ -136,3 +136,17 @@ func TestPaperDataConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionDriversRefuseSeedZero: rooftune.WithSeed(0) selects the
+// default seed, so a session driver given seed 0 fails instead of
+// measuring under a seed the runner does not report.
+func TestSessionDriversRefuseSeedZero(t *testing.T) {
+	r := New()
+	r.Seed = 0
+	if _, err := r.ExhaustiveDefault(r.Systems[0]); err == nil {
+		t.Fatal("ExhaustiveDefault ran with seed 0")
+	}
+	if _, err := r.RunTriad(r.Systems[0], bench.DefaultBudget()); err == nil {
+		t.Fatal("RunTriad ran with seed 0")
+	}
+}
