@@ -28,12 +28,14 @@ type ConstraintStudyRow struct {
 // experiment (§IV-A): "in most cases non-square matrices yield
 // significantly higher performance compared to square matrices". Each
 // space is searched exhaustively by a "dgemm" session with the C+I+O
-// technique; the study reads the single-socket winner.
+// technique on the single-socket configuration: the session targets the
+// system restricted to one socket, so it plans no dual-socket sweep.
 func (r *Runner) ConstraintStudy() ([]ConstraintStudyRow, error) {
 	budget := bench.DefaultBudget().WithFlags(true, true, true)
 	var rows []ConstraintStudyRow
 	for _, sys := range r.Systems {
 		row := ConstraintStudyRow{System: sys.Name}
+		sys.Sockets = 1
 		for _, sp := range []struct {
 			space []core.Dims
 			value *float64

@@ -225,8 +225,14 @@ func TestWorkingSetGridDense(t *testing.T) {
 			t.Fatalf("dense grid gap too wide at %d: ratio %.3f", i, ratio)
 		}
 	}
-	if grid[0] != lo {
-		t.Fatalf("dense grid must start at lo, got %v", grid[0])
+	if grid[0] != lo || grid[len(grid)-1] != hi {
+		t.Fatalf("dense grid must span lo..hi, got %v .. %v", grid[0], grid[len(grid)-1])
+	}
+	// The TRIAD vector lengths cover the same span: 3 KiB is 128
+	// elements, and the last length fills 768 MiB exactly.
+	elems := TriadGridElements(grid)
+	if elems[0] != 128 || ByteSize(24*elems[len(elems)-1]) != hi {
+		t.Fatalf("TRIAD lengths %d .. %d do not span %v .. %v", elems[0], elems[len(elems)-1], lo, hi)
 	}
 }
 
