@@ -1,6 +1,9 @@
 package rooftune
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,5 +94,46 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("fingerprints drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestResultGolden pins the SHA-256 of json.Marshal(Result) for every
+// golden shape on every paper system against testdata/results.golden
+// (regenerate with -update). Unlike the fingerprints, these bytes must
+// not move when only the fingerprint schema does: a drift here means a
+// change altered what a campaign measures or reports, search time,
+// configurations and warnings included.
+func TestResultGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, sys := range goldenSystems {
+		for _, shape := range goldenShapes {
+			sess, err := New(append([]Option{WithSystem(sys)}, shape.opts()...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s %s: %v", sys, shape.name, err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%s\t%s\t%x\n", sys, shape.name, sha256.Sum256(b))
+		}
+	}
+	got := sb.String()
+	golden := filepath.Join("testdata", "results.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("Result bytes drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
