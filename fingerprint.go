@@ -14,7 +14,7 @@ import (
 // Bump it whenever the rendering below changes meaning: a bumped schema
 // re-keys every content-addressed cache built on fingerprints, which is
 // exactly what must happen when the identity contract moves.
-const fingerprintSchema = "rooftune-fingerprint-v2"
+const fingerprintSchema = "rooftune-fingerprint-v3"
 
 // Fingerprint returns the session's content address: the hex SHA-256 of
 // a canonical rendering of everything that determines its Result —

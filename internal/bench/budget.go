@@ -78,14 +78,6 @@ type Budget struct {
 	// may trigger; guards the normality assumption for tiny n.
 	MinCISamples int
 
-	// UseStudentT switches interval construction from the paper's normal
-	// z-interval to Student's t (an extension; more conservative for
-	// small n).
-	UseStudentT bool
-	// UseMedian switches the convergence test of stop condition 3 to a
-	// median/IQR based rule (future-work extension, §VII).
-	UseMedian bool
-
 	// UseSteadyState enables Georges et al.'s warm-up exclusion (§II):
 	// samples before the CoV of the last SteadyWindow observations drops
 	// below SteadyThreshold are excluded from the stop-condition

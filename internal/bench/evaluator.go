@@ -164,15 +164,8 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 		w        stats.Welford
 		measured time.Duration
 		reason   = StopNone
-		samples  []float64 // retained only for the median extension
 		detector *stats.SteadyDetector
 	)
-	if b.UseMedian {
-		// Sized to the iteration cap up front: the median rule keeps every
-		// steady sample, and growing the slice mid-loop would charge
-		// allocator time to the measured stream.
-		samples = make([]float64, 0, b.MaxIterations)
-	}
 	if b.UseSteadyState {
 		detector = stats.NewSteadyDetector(b.SteadyWindow, b.SteadyThreshold)
 	}
@@ -214,13 +207,9 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 		if detector != nil && !detector.Steady() {
 			if detector.Add(metric) {
 				w.Reset()
-				samples = samples[:0]
 			}
 		}
 		w.Add(metric)
-		if b.UseMedian {
-			samples = append(samples, metric)
-		}
 		n := int(w.N())
 		// During warm-up (steady-state mode, detector not yet latched) no
 		// statistical stop decision is sound: the mean is still drifting.
@@ -230,16 +219,9 @@ func (e *Evaluator) runIteration(done <-chan struct{}, key string, invocation in
 
 		// Stop condition 3: the confidence interval of the mean has
 		// converged to within +-1/ErrorInverse of the mean.
-		if b.UseConfidence && n >= b.MinCISamples {
-			if b.UseMedian {
-				if medianConverged(samples, relTarget) {
-					reason = StopConfidence
-					break
-				}
-			} else if ci.converged(&w, relTarget) {
-				reason = StopConfidence
-				break
-			}
+		if b.UseConfidence && n >= b.MinCISamples && ci.converged(&w, relTarget) {
+			reason = StopConfidence
+			break
 		}
 
 		// Stop condition 4 (Listing 1): mean + marg < best, after at
@@ -272,66 +254,52 @@ func fired(done <-chan struct{}) bool {
 	}
 }
 
-// intervals builds the confidence intervals of one evaluation. The
-// normal quantile depends only on the budget's level, so the evaluator
+// intervals builds the normal confidence intervals of one evaluation.
+// The quantile depends only on the budget's level, so the evaluator
 // computes it once per level rather than once per evaluation or sample.
 type intervals struct {
-	studentT bool
-	level    float64
-	z        float64 // NormalQuantile(0.5 + level/2); unused under Student-t
-	z2       float64 // z*z
+	level float64
+	z     float64 // NormalQuantile(0.5 + level/2)
+	z2    float64 // z*z
 }
 
 func (e *Evaluator) intervals(b Budget) intervals {
-	ci := intervals{studentT: b.UseStudentT, level: b.CILevel}
-	if !ci.studentT {
-		if e.zLevel != b.CILevel {
-			e.zLevel, e.z = b.CILevel, stats.NormalQuantile(0.5+b.CILevel/2)
-		}
-		ci.z = e.z
-		ci.z2 = ci.z * ci.z
+	if e.zLevel != b.CILevel {
+		e.zLevel, e.z = b.CILevel, stats.NormalQuantile(0.5+b.CILevel/2)
 	}
-	return ci
+	return intervals{level: b.CILevel, z: e.z, z2: e.z * e.z}
 }
 
 // converged is stop condition 3's test, RelativeHalfWidth() <= t on the
-// interval of w. Under the normal interval it is decided by squares
-// (stats.Welford.MarginBelow) and builds the interval only near a tie.
+// interval of w. It is decided by squares (stats.Welford.MarginBelow)
+// and builds the interval only near a tie.
 //
 //rooflint:hotpath
 func (ci intervals) converged(w *stats.Welford, t float64) bool {
-	if !ci.studentT {
-		if below, ok := w.MarginBelow(ci.z2, t*math.Abs(w.Mean())); ok {
-			return below
-		}
+	if below, ok := w.MarginBelow(ci.z2, t*math.Abs(w.Mean())); ok {
+		return below
 	}
 	return ci.of(w).RelativeHalfWidth() <= t
 }
 
 // beaten is stop condition 4's test, Mean+Margin() < best on the
-// interval of w. Under the normal interval the margin is never negative,
-// so it is false whenever best <= mean, and otherwise decided by squares
-// like converged.
+// interval of w. The margin is never negative, so it is false whenever
+// best <= mean, and otherwise decided by squares like converged.
 //
 //rooflint:hotpath
 func (ci intervals) beaten(w *stats.Welford, best float64) bool {
-	if !ci.studentT {
-		mean := w.Mean()
-		if best <= mean {
-			return false
-		}
-		if below, ok := w.MarginBelow(ci.z2, best-mean); ok {
-			return below
-		}
+	mean := w.Mean()
+	if best <= mean {
+		return false
+	}
+	if below, ok := w.MarginBelow(ci.z2, best-mean); ok {
+		return below
 	}
 	iv := ci.of(w)
 	return iv.Mean+iv.Margin() < best
 }
 
 func (ci intervals) of(w *stats.Welford) stats.Interval {
-	if ci.studentT {
-		return stats.StudentCI(w, ci.level)
-	}
 	return stats.NormalCIWithZ(w, ci.level, ci.z)
 }
 
@@ -340,16 +308,4 @@ func (ci intervals) final(w *stats.Welford) stats.Interval {
 		return stats.Interval{Mean: w.Mean(), Lower: w.Mean(), Upper: w.Mean(), Level: ci.level}
 	}
 	return ci.of(w)
-}
-
-// medianConverged implements the future-work median rule: the notched
-// boxplot confidence interval of the median (1.58*IQR/sqrt(n)) relative
-// to the median is within target, the budget's RelWidthTarget.
-func medianConverged(samples []float64, target float64) bool {
-	med := stats.Median(samples)
-	if med == 0 {
-		return false
-	}
-	marg := 1.58 * stats.IQR(samples) / math.Sqrt(float64(len(samples)))
-	return marg/math.Abs(med) <= target
 }

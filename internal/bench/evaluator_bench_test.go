@@ -20,11 +20,10 @@ import (
 
 // benchEvaluateBudget is a deterministic evaluation shape: statistical
 // stops off, so every invocation runs its full iteration count.
-func benchEvaluateBudget(median, steady bool) Budget {
+func benchEvaluateBudget(steady bool) Budget {
 	b := DefaultBudget()
 	b.Invocations = 10
 	b.MaxIterations = 100
-	b.UseMedian = median
 	b.UseSteadyState = steady
 	return b
 }
@@ -44,22 +43,18 @@ func benchmarkEvaluate(b *testing.B, budget Budget) {
 }
 
 func BenchmarkEvaluate(b *testing.B) {
-	benchmarkEvaluate(b, benchEvaluateBudget(false, false))
-}
-
-func BenchmarkEvaluateMedian(b *testing.B) {
-	benchmarkEvaluate(b, benchEvaluateBudget(true, false))
+	benchmarkEvaluate(b, benchEvaluateBudget(false))
 }
 
 func BenchmarkEvaluateSteadyState(b *testing.B) {
-	benchmarkEvaluate(b, benchEvaluateBudget(false, true))
+	benchmarkEvaluate(b, benchEvaluateBudget(true))
 }
 
 // BenchmarkEvaluatePruned exercises the bound-pruned path: an incumbent
 // far above the case's performance stops every invocation at MinCount
 // iterations and outer-prunes the configuration.
 func BenchmarkEvaluatePruned(b *testing.B) {
-	budget := benchEvaluateBudget(false, false)
+	budget := benchEvaluateBudget(false)
 	budget.UseInnerBound = true
 	budget.UseOuterBound = true
 	clock := vclock.NewVirtual()
@@ -80,7 +75,7 @@ func BenchmarkEvaluatePruned(b *testing.B) {
 // evaluator: the shape of concurrently running sweeps. A per-Step check
 // that locks the shared context shows up here as contention.
 func BenchmarkEvaluateSharedCtx(b *testing.B) {
-	budget := benchEvaluateBudget(false, false)
+	budget := benchEvaluateBudget(false)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	b.ReportAllocs()

@@ -334,35 +334,6 @@ func TestMeanOverInvocationMeans(t *testing.T) {
 	}
 }
 
-func TestStudentTBudget(t *testing.T) {
-	clock := vclock.NewVirtual()
-	b := DefaultBudget()
-	b.Invocations = 1
-	b.MaxIterations = 12
-	b.UseConfidence = true
-	b.UseStudentT = true
-	b.MinCISamples = 5
-	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
-	if out.Invocations[0].Reason != StopConfidence {
-		t.Fatal("t-interval must also converge on constant data")
-	}
-}
-
-func TestMedianStopCondition(t *testing.T) {
-	clock := vclock.NewVirtual()
-	b := DefaultBudget()
-	b.Invocations = 1
-	b.UseConfidence = true
-	b.UseMedian = true
-	b.MinCISamples = 5
-	e := NewEvaluator(clock, b)
-	out, _ := e.Evaluate(context.Background(), constantCase(clock, time.Millisecond), NoBest)
-	if out.Invocations[0].Reason != StopConfidence {
-		t.Fatal("median rule must converge on constant data")
-	}
-}
-
 func TestBudgetNormalization(t *testing.T) {
 	var b Budget // all zero
 	n := b.normalized()

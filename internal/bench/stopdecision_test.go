@@ -8,8 +8,7 @@ import (
 	"rooftune/internal/xrand"
 )
 
-// The evaluator decides stop conditions 3 and 4 under the normal
-// interval by comparing squares (intervals.converged, intervals.beaten)
+// The evaluator decides stop conditions 3 and 4 by comparing squares (intervals.converged, intervals.beaten)
 // and builds the interval only near a tie. These tests hold both
 // decisions to the expressions on the built interval, the oracle below,
 // bit for bit: random Welford states, and states placed within a few
@@ -43,13 +42,13 @@ func checkStopDecision(tb testing.TB, ci intervals, w *stats.Welford, target, be
 	check := func(target, best float64) {
 		if got, want := ci.converged(w, target), oracleConverged(ci, w, target); got != want {
 			iv := ci.of(w)
-			tb.Fatalf("converged(%v, t=%v) = %v, interval says %v (%v, rel %v, student %v, z %v)",
-				w, target, got, want, iv, iv.RelativeHalfWidth(), ci.studentT, ci.z)
+			tb.Fatalf("converged(%v, t=%v) = %v, interval says %v (%v, rel %v, z %v)",
+				w, target, got, want, iv, iv.RelativeHalfWidth(), ci.z)
 		}
 		if got, want := ci.beaten(w, best), oracleBeaten(ci, w, best); got != want {
 			iv := ci.of(w)
-			tb.Fatalf("beaten(%v, best=%v) = %v, interval says %v (%v, mean+margin %v, student %v, z %v)",
-				w, best, got, want, iv, iv.Mean+iv.Margin(), ci.studentT, ci.z)
+			tb.Fatalf("beaten(%v, best=%v) = %v, interval says %v (%v, mean+margin %v, z %v)",
+				w, best, got, want, iv, iv.Mean+iv.Margin(), ci.z)
 		}
 	}
 	check(target, best)
@@ -124,7 +123,7 @@ func TestStopDecisionMatchesInterval(t *testing.T) {
 	states := 0
 	for states < 1000000 {
 		level := randomLevel(rng)
-		ci := new(Evaluator).intervals(Budget{CILevel: level, UseStudentT: rng.Intn(50) == 0})
+		ci := new(Evaluator).intervals(Budget{CILevel: level})
 		xs := randomStream(rng, 2+rng.Intn(40))
 		var w stats.Welford
 		for i, x := range xs {
@@ -147,20 +146,19 @@ func TestStopDecisionMatchesInterval(t *testing.T) {
 // samples a, b and c repeated in turn to n samples, a level, a target,
 // an incumbent, and how many ulps around each boundary to probe.
 func FuzzStopDecision(f *testing.F) {
-	f.Add(1.2e12, 1.21e12, 1.19e12, uint8(5), 0.99, 0.01, 1.3e12, uint8(4), false)
-	f.Add(1.0, 1.0, 1.0, uint8(2), 0.99, 0.01, 1.0, uint8(2), false)            // C == 0
-	f.Add(3.0, -3.0, 0.5, uint8(2), 0.95, 0.01, 0.0, uint8(3), false)           // mean == 0
-	f.Add(1e300, 1.5e300, 1e300, uint8(9), 0.99, 0.01, 1e301, uint8(4), false)  // huge
-	f.Add(1e-310, 3e-310, 2e-310, uint8(7), 0.99, 0.5, 1e-309, uint8(4), false) // subnormal
-	f.Add(math.NaN(), 1.0, 2.0, uint8(4), 0.99, 0.01, 2.0, uint8(1), false)
-	f.Add(math.Inf(1), 1.0, 2.0, uint8(4), 0.99, 0.01, math.Inf(1), uint8(1), false)
-	f.Add(5e9, 5.1e9, 4.9e9, uint8(30), 1e-18, 1e-9, 5e9, uint8(4), false) // tiny quantile
-	f.Add(5e9, 5.1e9, 4.9e9, uint8(30), 0.99, 0.01, 5.2e9, uint8(4), true) // Student-t
-	f.Fuzz(func(t *testing.T, a, b, c float64, n uint8, level, target, best float64, ulps uint8, student bool) {
+	f.Add(1.2e12, 1.21e12, 1.19e12, uint8(5), 0.99, 0.01, 1.3e12, uint8(4))
+	f.Add(1.0, 1.0, 1.0, uint8(2), 0.99, 0.01, 1.0, uint8(2))            // C == 0
+	f.Add(3.0, -3.0, 0.5, uint8(2), 0.95, 0.01, 0.0, uint8(3))           // mean == 0
+	f.Add(1e300, 1.5e300, 1e300, uint8(9), 0.99, 0.01, 1e301, uint8(4))  // huge
+	f.Add(1e-310, 3e-310, 2e-310, uint8(7), 0.99, 0.5, 1e-309, uint8(4)) // subnormal
+	f.Add(math.NaN(), 1.0, 2.0, uint8(4), 0.99, 0.01, 2.0, uint8(1))
+	f.Add(math.Inf(1), 1.0, 2.0, uint8(4), 0.99, 0.01, math.Inf(1), uint8(1))
+	f.Add(5e9, 5.1e9, 4.9e9, uint8(30), 1e-18, 1e-9, 5e9, uint8(4)) // tiny quantile
+	f.Fuzz(func(t *testing.T, a, b, c float64, n uint8, level, target, best float64, ulps uint8) {
 		if n < 2 {
 			n = 2
 		}
-		ci := new(Evaluator).intervals(Budget{CILevel: level, UseStudentT: student}.normalized())
+		ci := new(Evaluator).intervals(Budget{CILevel: level}.normalized())
 		var w stats.Welford
 		xs := [3]float64{a, b, c}
 		for i := 0; i < int(n); i++ {

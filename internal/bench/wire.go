@@ -4,20 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"rooftune/internal/hw"
-	"rooftune/internal/stats"
 )
 
 // This file is the wire layer of the bench package: a canonical,
 // content-addressable rendering of every Config variant (the serving
-// tier's cache key) and a versioned JSON encoding of Config and Outcome
-// (the serving tier's result payload). Both encodings dispatch on the
-// closed Config sum with exhaustive type switches — the configsum
-// analyzer machine-checks the switches, and TestWireVariantsExhaustive
-// asserts the census here tracks configsum.Variants, so a new variant
-// without wire support fails the build and the tests, never a daemon.
+// tier's cache key) and a versioned JSON encoding of Config (a winner's
+// identity in the serving tier's result payload). Both encodings
+// dispatch on the closed Config sum with exhaustive type switches — the
+// configsum analyzer machine-checks the switches, and
+// TestWireVariantsExhaustive asserts the census here tracks
+// configsum.Variants, so a new variant without wire support fails the
+// build and the tests, never a daemon.
 
 // AppendConfigCanonical appends the canonical rendering of a
 // configuration's typed identity to dst and returns the extended buffer:
@@ -90,12 +89,12 @@ func (b Budget) Canonical() string {
 	return fmt.Sprintf(
 		"Budget{invocations=%d,maxIterations=%d,maxTime=%d,scope=%s,errorInverse=%s,ciLevel=%s,"+
 			"confidence=%t,innerBound=%t,outerBound=%t,minCount=%d,minCISamples=%d,"+
-			"studentT=%t,median=%t,steadyState=%t,steadyWindow=%d,steadyThreshold=%s}",
+			"steadyState=%t,steadyWindow=%d,steadyThreshold=%s}",
 		b.Invocations, b.MaxIterations, int64(b.MaxTime), b.Scope,
 		strconv.FormatFloat(b.ErrorInverse, 'g', -1, 64),
 		strconv.FormatFloat(b.CILevel, 'g', -1, 64),
 		b.UseConfidence, b.UseInnerBound, b.UseOuterBound, b.MinCount, b.MinCISamples,
-		b.UseStudentT, b.UseMedian, b.UseSteadyState, b.SteadyWindow,
+		b.UseSteadyState, b.SteadyWindow,
 		strconv.FormatFloat(b.SteadyThreshold, 'g', -1, 64))
 }
 
@@ -245,162 +244,4 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		return nil, fmt.Errorf("bench: decoding %s: %w", w.Variant, err)
 	}
 	return c, nil
-}
-
-// metricWire names each metric stably on the wire.
-var metricNames = map[Metric]string{
-	MetricFlops:     "flops",
-	MetricBandwidth: "bandwidth",
-}
-
-// MarshalJSON encodes the metric by name.
-func (m Metric) MarshalJSON() ([]byte, error) {
-	name, ok := metricNames[m]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown metric %d", int(m))
-	}
-	return json.Marshal(name)
-}
-
-// UnmarshalJSON decodes a metric name.
-func (m *Metric) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	for metric, n := range metricNames {
-		if n == name {
-			*m = metric
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: unknown metric %q", name)
-}
-
-// stopReasonNames names each stop reason stably on the wire.
-var stopReasonNames = map[StopReason]string{
-	StopNone:       "none",
-	StopMaxTime:    "max-time",
-	StopMaxCount:   "max-count",
-	StopConfidence: "confidence",
-	StopBound:      "bound",
-}
-
-// MarshalJSON encodes the stop reason by name.
-func (r StopReason) MarshalJSON() ([]byte, error) {
-	name, ok := stopReasonNames[r]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown stop reason %d", int(r))
-	}
-	return json.Marshal(name)
-}
-
-// UnmarshalJSON decodes a stop reason name.
-func (r *StopReason) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	for reason, n := range stopReasonNames {
-		if n == name {
-			*r = reason
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: unknown stop reason %q", name)
-}
-
-// invocationWire mirrors InvocationResult on the wire. Durations travel
-// as integer nanoseconds and floats as JSON numbers — both encodings
-// round-trip exactly, which is what lets a cached Result render
-// byte-identically to the run that produced it.
-type invocationWire struct {
-	Mean     float64        `json:"mean"`
-	Samples  int            `json:"samples"`
-	Measured int64          `json:"measuredNs"`
-	Reason   StopReason     `json:"reason"`
-	CI       stats.Interval `json:"ci"`
-}
-
-// outcomeWire mirrors Outcome on the wire.
-type outcomeWire struct {
-	Key          string           `json:"key"`
-	Describe     string           `json:"describe"`
-	Metric       Metric           `json:"metric"`
-	Config       json.RawMessage  `json:"config,omitempty"`
-	Mean         float64          `json:"mean"`
-	Invocations  []invocationWire `json:"invocations,omitempty"`
-	InnerStops   int              `json:"innerStops,omitempty"`
-	Pruned       bool             `json:"pruned,omitempty"`
-	Elapsed      int64            `json:"elapsedNs"`
-	TotalSamples int              `json:"totalSamples"`
-}
-
-// MarshalJSON encodes the outcome with its typed config in the variant
-// envelope, so a winner crosses the wire as structured identity rather
-// than a parsed key string.
-func (o Outcome) MarshalJSON() ([]byte, error) {
-	w := outcomeWire{
-		Key:          o.Key,
-		Describe:     o.Describe,
-		Metric:       o.Metric,
-		Mean:         o.Mean,
-		InnerStops:   o.InnerStops,
-		Pruned:       o.Pruned,
-		Elapsed:      int64(o.Elapsed),
-		TotalSamples: o.TotalSamples,
-	}
-	if o.Config != nil {
-		raw, err := MarshalConfig(o.Config)
-		if err != nil {
-			return nil, err
-		}
-		w.Config = raw
-	}
-	for _, inv := range o.Invocations {
-		w.Invocations = append(w.Invocations, invocationWire{
-			Mean:     inv.Mean,
-			Samples:  inv.Samples,
-			Measured: int64(inv.Measured),
-			Reason:   inv.Reason,
-			CI:       inv.CI,
-		})
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes an outcome, rejecting unknown config variants.
-func (o *Outcome) UnmarshalJSON(data []byte) error {
-	var w outcomeWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	out := Outcome{
-		Key:          w.Key,
-		Describe:     w.Describe,
-		Metric:       w.Metric,
-		Mean:         w.Mean,
-		InnerStops:   w.InnerStops,
-		Pruned:       w.Pruned,
-		Elapsed:      time.Duration(w.Elapsed),
-		TotalSamples: w.TotalSamples,
-	}
-	if len(w.Config) > 0 {
-		cfg, err := UnmarshalConfig(w.Config)
-		if err != nil {
-			return err
-		}
-		out.Config = cfg
-	}
-	for _, inv := range w.Invocations {
-		out.Invocations = append(out.Invocations, InvocationResult{
-			Mean:     inv.Mean,
-			Samples:  inv.Samples,
-			Measured: time.Duration(inv.Measured),
-			Reason:   inv.Reason,
-			CI:       inv.CI,
-		})
-	}
-	*o = out
-	return nil
 }

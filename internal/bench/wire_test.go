@@ -2,16 +2,13 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rooftune/internal/hw"
 	"rooftune/internal/lint"
 	"rooftune/internal/lint/configsum"
-	"rooftune/internal/stats"
 )
 
 // wireConfigs is one representative value per Config variant, with every
@@ -151,67 +148,6 @@ func TestWireVariantsExhaustive(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("wire decoder covers %s, which internal/bench no longer declares", name)
 		}
-	}
-}
-
-func TestOutcomeJSONRoundTrip(t *testing.T) {
-	out := Outcome{
-		Key:      "n1000m4096k128s1",
-		Describe: "n=1000 m=4096 k=128",
-		Metric:   MetricFlops,
-		Config:   DGEMMConfig{N: 1000, M: 4096, K: 128, Sockets: 1},
-		Mean:     408.71e9,
-		Invocations: []InvocationResult{
-			{
-				Mean:     408.91e9,
-				Samples:  37,
-				Measured: 1274 * time.Millisecond,
-				Reason:   StopConfidence,
-				CI:       stats.Interval{Mean: 408.91e9, Lower: 405e9, Upper: 412.8e9, Level: 0.99},
-			},
-			{
-				Mean:     408.51e9,
-				Samples:  12,
-				Measured: 410 * time.Millisecond,
-				Reason:   StopBound,
-				CI:       stats.Interval{Mean: 408.51e9, Lower: 404e9, Upper: 413e9, Level: 0.99},
-			},
-		},
-		InnerStops:   1,
-		Pruned:       true,
-		Elapsed:      3141592653 * time.Nanosecond,
-		TotalSamples: 49,
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Outcome
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, out) {
-		t.Fatalf("round trip changed the outcome:\nsent: %#v\ngot:  %#v", out, back)
-	}
-}
-
-// TestOutcomeJSONWithoutConfig pins the test-fake path: an outcome with
-// no typed config must round-trip as nil, not error or zero-value.
-func TestOutcomeJSONWithoutConfig(t *testing.T) {
-	out := Outcome{Key: "fake", Metric: MetricBandwidth, Mean: 42e9}
-	data, err := json.Marshal(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Outcome
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Config != nil {
-		t.Fatalf("config = %#v, want nil", back.Config)
-	}
-	if !reflect.DeepEqual(back, out) {
-		t.Fatalf("round trip changed the outcome: %#v vs %#v", back, out)
 	}
 }
 

@@ -30,7 +30,7 @@ var WriteMode bool
 // Line is one golden entry: a stable identity and its rendering.
 type Line struct {
 	// ID is the entry's identity — what must not disappear or change
-	// meaning (e.g. "func New", "bench outcomeWire.mean").
+	// meaning (e.g. "func New", "bench dgemmConfigWire.n").
 	ID string
 	// Rendering is the full contract text for the identity (signature,
 	// field type and options, ...).

@@ -486,7 +486,7 @@ func packagePos(pass *analysis.Pass) token.Pos {
 }
 
 // posOf anchors a finding on the censused struct's declaration when it
-// lives in this package ("bench outcomeWire.mean" -> outcomeWire),
+// lives in this package ("bench dgemmConfigWire.n" -> dgemmConfigWire),
 // falling back to the package clause.
 func posOf(pass *analysis.Pass, id string, fallback token.Pos) token.Pos {
 	fields := strings.Fields(id)

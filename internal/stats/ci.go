@@ -105,20 +105,6 @@ func (w *Welford) MarginBelow(z2, d float64) (below, decided bool) {
 	return false, false
 }
 
-// StudentCI returns the Student-t confidence interval of the mean, the
-// small-sample-correct alternative (Georges et al. recommend t for n < 30).
-func StudentCI(w *Welford, level float64) Interval {
-	iv := Interval{Mean: w.Mean(), Level: level}
-	if w.N() < 2 {
-		iv.Lower, iv.Upper = math.Inf(-1), math.Inf(1)
-		return iv
-	}
-	t := StudentQuantile(0.5+level/2, int(w.N()-1))
-	marg := t * w.StdErr()
-	iv.Lower, iv.Upper = iv.Mean-marg, iv.Mean+marg
-	return iv
-}
-
 // NormalQuantile returns the p-quantile of the standard normal
 // distribution using the Acklam rational approximation (relative error
 // below 1.15e-9 over the full domain), sufficient for CI construction.
@@ -158,148 +144,4 @@ func NormalQuantile(p float64) float64 {
 // used by the nonparametric tests.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// StudentQuantile returns the p-quantile of Student's t distribution with
-// df degrees of freedom. It uses the Hill (1970) inversion via the
-// relationship with the incomplete beta function, refined with one
-// Newton step; accuracy is better than 1e-6 for df >= 1, ample for CI
-// construction. It panics for p outside (0,1) or df < 1.
-func StudentQuantile(p float64, df int) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("stats: StudentQuantile p=%g out of (0,1)", p))
-	}
-	if df < 1 {
-		panic(fmt.Sprintf("stats: StudentQuantile df=%d < 1", df))
-	}
-	if p == 0.5 {
-		return 0
-	}
-	if p < 0.5 {
-		return -StudentQuantile(1-p, df)
-	}
-	n := float64(df)
-	// Special closed forms.
-	switch df {
-	case 1:
-		return math.Tan(math.Pi * (p - 0.5))
-	case 2:
-		a := 2*p - 1
-		return a * math.Sqrt(2/(1-a*a))
-	}
-	// Cornish-Fisher style expansion around the normal quantile
-	// (Abramowitz & Stegun 26.7.5), then polish with Newton iterations on
-	// the CDF. The expansion alone is good to ~1e-4; two Newton steps take
-	// it to ~1e-9 in the regions CI construction uses.
-	z := NormalQuantile(p)
-	g1 := (z*z*z + z) / 4
-	g2 := (5*math.Pow(z, 5) + 16*z*z*z + 3*z) / 96
-	g3 := (3*math.Pow(z, 7) + 19*math.Pow(z, 5) + 17*z*z*z - 15*z) / 384
-	g4 := (79*math.Pow(z, 9) + 776*math.Pow(z, 7) + 1482*math.Pow(z, 5) - 1920*z*z*z - 945*z) / 92160
-	t := z + g1/n + g2/(n*n) + g3/(n*n*n) + g4/(n*n*n*n)
-	for i := 0; i < 3; i++ {
-		cdf := StudentCDF(t, df)
-		pdf := studentPDF(t, n)
-		if pdf == 0 {
-			break
-		}
-		step := (cdf - p) / pdf
-		t -= step
-		if math.Abs(step) < 1e-12*(1+math.Abs(t)) {
-			break
-		}
-	}
-	return t
-}
-
-func studentPDF(t, n float64) float64 {
-	lg := lgamma((n+1)/2) - lgamma(n/2)
-	return math.Exp(lg) / math.Sqrt(n*math.Pi) * math.Pow(1+t*t/n, -(n+1)/2)
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-// StudentCDF returns the cumulative distribution function of Student's t
-// with df degrees of freedom, via the regularized incomplete beta function.
-func StudentCDF(t float64, df int) float64 {
-	if df < 1 {
-		panic("stats: StudentCDF df < 1")
-	}
-	n := float64(df)
-	if t == 0 {
-		return 0.5
-	}
-	x := n / (n + t*t)
-	ib := regIncBeta(n/2, 0.5, x)
-	if t > 0 {
-		return 1 - 0.5*ib
-	}
-	return 0.5 * ib
-}
-
-// regIncBeta computes the regularized incomplete beta function I_x(a,b)
-// using the continued-fraction expansion (Numerical Recipes betacf).
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	ln := lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x)
-	front := math.Exp(ln)
-	if x < (a+1)/(a+b+2) {
-		return front * betacf(a, b, x) / a
-	}
-	return 1 - front*betacf(b, a, 1-x)/b
-}
-
-func betacf(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		m2 := float64(2 * m)
-		fm := float64(m)
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
 }

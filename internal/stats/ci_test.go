@@ -47,71 +47,6 @@ func TestNormalQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestStudentQuantileKnownValues(t *testing.T) {
-	// Standard t-table values, two-sided 95% and 99%.
-	cases := []struct {
-		p    float64
-		df   int
-		want float64
-	}{
-		{0.975, 1, 12.7062},
-		{0.975, 2, 4.30265},
-		{0.975, 10, 2.22814},
-		{0.995, 10, 3.16927},
-		{0.995, 30, 2.74999},
-		{0.975, 120, 1.97993},
-		{0.95, 5, 2.01505},
-	}
-	for _, c := range cases {
-		got := StudentQuantile(c.p, c.df)
-		if math.Abs(got-c.want) > 2e-3 {
-			t.Errorf("StudentQuantile(%v, %d) = %v, want %v", c.p, c.df, got, c.want)
-		}
-	}
-}
-
-func TestStudentQuantileSymmetry(t *testing.T) {
-	for _, df := range []int{1, 2, 5, 30} {
-		if got := StudentQuantile(0.5, df); got != 0 {
-			t.Errorf("median of t(%d) = %v", df, got)
-		}
-		a, b := StudentQuantile(0.9, df), StudentQuantile(0.1, df)
-		if math.Abs(a+b) > 1e-9 {
-			t.Errorf("t(%d) not symmetric: %v vs %v", df, a, b)
-		}
-	}
-}
-
-func TestStudentApproachesNormal(t *testing.T) {
-	z := NormalQuantile(0.995)
-	tq := StudentQuantile(0.995, 2000)
-	if math.Abs(z-tq) > 5e-3 {
-		t.Fatalf("t with high df %v should approach z %v", tq, z)
-	}
-}
-
-func TestStudentCDFQuantileRoundTrip(t *testing.T) {
-	for _, df := range []int{1, 3, 7, 29, 100} {
-		for _, p := range []float64{0.05, 0.3, 0.5, 0.9, 0.995} {
-			q := StudentQuantile(p, df)
-			back := StudentCDF(q, df)
-			if math.Abs(back-p) > 1e-6 {
-				t.Errorf("CDF(Quantile(%v, %d)) = %v", p, df, back)
-			}
-		}
-	}
-}
-
-func TestStudentWiderThanNormal(t *testing.T) {
-	// Student intervals must be wider for small n (the reason the
-	// UseStudentT extension is more conservative).
-	for df := 1; df <= 50; df++ {
-		if StudentQuantile(0.995, df) <= NormalQuantile(0.995) {
-			t.Fatalf("t quantile not wider than z at df=%d", df)
-		}
-	}
-}
-
 func TestNormalCIKnown(t *testing.T) {
 	var w Welford
 	for _, x := range []float64{8, 9, 10, 11, 12} {
@@ -137,10 +72,6 @@ func TestCISmallSampleInfinite(t *testing.T) {
 	iv := NormalCI(&w, 0.99)
 	if !math.IsInf(iv.Lower, -1) || !math.IsInf(iv.Upper, 1) {
 		t.Fatalf("n=1 interval must be infinite: %v", iv)
-	}
-	ivT := StudentCI(&w, 0.99)
-	if !math.IsInf(ivT.Upper, 1) {
-		t.Fatalf("n=1 t-interval must be infinite: %v", ivT)
 	}
 }
 
@@ -171,9 +102,6 @@ func TestCILevelOrdering(t *testing.T) {
 	if NormalCI(&w, 0.99).Margin() <= NormalCI(&w, 0.95).Margin() {
 		t.Fatal("99% CI must be wider than 95% CI")
 	}
-	if StudentCI(&w, 0.99).Margin() <= NormalCI(&w, 0.99).Margin() {
-		t.Fatal("t CI must be wider than z CI at n=30")
-	}
 }
 
 func TestRelativeHalfWidth(t *testing.T) {
@@ -185,13 +113,4 @@ func TestRelativeHalfWidth(t *testing.T) {
 	if !math.IsInf(zero.RelativeHalfWidth(), 1) {
 		t.Fatal("zero mean with nonzero margin must be +Inf")
 	}
-}
-
-func TestStudentQuantilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for df=0")
-		}
-	}()
-	StudentQuantile(0.9, 0)
 }

@@ -37,15 +37,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the 0.5-quantile of xs. The paper's future-work section
-// proposes median-based stop conditions; internal/bench implements one on
-// top of this.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// IQR returns the interquartile range, a robust spread estimate used by the
-// median-based stop condition.
-func IQR(xs []float64) float64 { return Quantile(xs, 0.75) - Quantile(xs, 0.25) }
-
 // Skewness returns the adjusted Fisher-Pearson sample skewness of xs,
 // or 0 for samples smaller than 3 or with zero variance.
 func Skewness(xs []float64) float64 {

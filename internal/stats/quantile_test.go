@@ -72,16 +72,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestMedianIQR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if Median(xs) != 5 {
-		t.Fatalf("median = %v", Median(xs))
-	}
-	if got := IQR(xs); got != 4 {
-		t.Fatalf("IQR = %v, want 4", got)
-	}
-}
-
 func TestSkewnessSigns(t *testing.T) {
 	rightSkewed := []float64{1, 1, 1, 2, 2, 3, 10, 20}
 	if Skewness(rightSkewed) <= 0 {

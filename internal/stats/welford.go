@@ -1,6 +1,6 @@
 // Package stats implements the statistical machinery behind the paper's
 // adaptive stop conditions: Welford's online mean/variance (Eqs. 5-7),
-// normal-theory and Student-t confidence intervals, steady-state
+// the normal-theory confidence interval of the mean, steady-state
 // detection, order statistics, bootstrap confidence intervals, and the
 // nonparametric comparisons suggested in the paper's future-work section.
 package stats
