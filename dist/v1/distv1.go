@@ -175,23 +175,50 @@ type ErrorEnvelope struct {
 	Error Error `json:"error"`
 }
 
-// ParseNodeSpec decodes a node spec, rejecting unknown fields and other
-// schema dialects — a node run under a misparsed spec would be cached
-// under the wrong identity.
+// ParseNodeSpec decodes a node spec: exactly one object of this Schema,
+// nothing after it. It rejects unknown fields, unlike the response
+// parsers below: the worker caches the node's outcome under the spec's
+// identity, and a node run under a misparsed spec would be cached under
+// the wrong one.
 func ParseNodeSpec(r io.Reader) (NodeSpec, error) {
 	var s NodeSpec
-	if err := parse(r, &s); err != nil {
+	if err := parse(r, &s, &s.Schema, true); err != nil {
 		return s, fmt.Errorf("dist: parse node spec: %w", err)
-	}
-	if s.Schema != Schema {
-		return s, fmt.Errorf("dist: parse node spec: schema %q, want %q", s.Schema, Schema)
 	}
 	return s, nil
 }
 
-func parse(r io.Reader, v any) error {
+// ParseNodeOutcome decodes a worker's run response: exactly one object
+// of this Schema, nothing after it. It accepts unknown fields, because a
+// newer worker may add fields to its outcome; the coordinator reads only
+// the ones it knows and keys nothing by the others.
+func ParseNodeOutcome(r io.Reader) (NodeOutcome, error) {
+	var o NodeOutcome
+	if err := parse(r, &o, &o.Schema, false); err != nil {
+		return o, fmt.Errorf("dist: parse node outcome: %w", err)
+	}
+	return o, nil
+}
+
+// ParseHeartbeat decodes a worker's health response: exactly one object
+// of this Schema, nothing after it. A worker of another dialect fails
+// here, so the coordinator never enrolls it. It accepts unknown fields,
+// because a newer worker may add fields to its heartbeat.
+func ParseHeartbeat(r io.Reader) (Heartbeat, error) {
+	var hb Heartbeat
+	if err := parse(r, &hb, &hb.Schema, false); err != nil {
+		return hb, fmt.Errorf("dist: parse heartbeat: %w", err)
+	}
+	return hb, nil
+}
+
+// parse decodes one JSON object from r into v, then requires *schema,
+// v's Schema field, to be Schema. strict rejects unknown fields.
+func parse(r io.Reader, v any, schema *string, strict bool) error {
 	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	if strict {
+		dec.DisallowUnknownFields()
+	}
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
@@ -199,6 +226,9 @@ func parse(r io.Reader, v any) error {
 	// the end of input proves nothing follows the object.
 	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after the object")
+	}
+	if *schema != Schema {
+		return fmt.Errorf("schema %q, want %q", *schema, Schema)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package rooftune
 
 import (
-	"encoding/json"
+	"bytes"
 	"testing"
 
 	distv1 "rooftune/dist/v1"
@@ -23,13 +23,12 @@ func fuzzOutcomeSession() (*Session, error) {
 }
 
 // FuzzOutcomeFromWire drives arbitrary worker response bodies through
-// outcomeFromWire: every body that json-decodes into a NodeOutcome of
-// the current schema (the check dist.Coordinator.postNode makes, repeated
-// here, not called) is rebuilt against the plan node the outcome names
-// (or, for an unknown name, the first node, which must refuse it). No
-// input may panic, and every winner
-// outcomeFromWire accepts must re-marshal through bench.MarshalConfig,
-// as Result assembly will. The seed corpus, real worker outcomes plus
+// the coordinator's decode path: every body distv1.ParseNodeOutcome
+// accepts (the decoder dist.Coordinator.postNode calls) is rebuilt by
+// outcomeFromWire against the plan node the outcome names (or, for an
+// unknown name, the first node, which must refuse it). No input may
+// panic, and every winner outcomeFromWire accepts must re-marshal
+// through bench.MarshalConfig, as Result assembly will. The seed corpus, real worker outcomes plus
 // malformed variants, lives in testdata/fuzz/FuzzOutcomeFromWire and
 // also runs in every plain `go test`.
 func FuzzOutcomeFromWire(f *testing.F) {
@@ -47,8 +46,8 @@ func FuzzOutcomeFromWire(f *testing.F) {
 		byID[n.ID] = n
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var no distv1.NodeOutcome
-		if err := json.Unmarshal(body, &no); err != nil || no.Schema != distv1.Schema {
+		no, err := distv1.ParseNodeOutcome(bytes.NewReader(body))
+		if err != nil {
 			return
 		}
 		n, ok := byID[no.NodeID]

@@ -333,9 +333,12 @@ func (c *Coordinator) postNode(ctx context.Context, url string, body []byte) (ou
 		return nil, true, true, fmt.Errorf("dist: worker %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, true, true, fmt.Errorf("dist: worker %s: read response: %w", url, err)
+	}
+	if len(data) > maxResponseBytes {
+		return nil, true, true, fmt.Errorf("dist: worker %s: response over %d bytes", url, maxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var env distv1.ErrorEnvelope
@@ -353,12 +356,15 @@ func (c *Coordinator) postNode(ctx context.Context, url string, body []byte) (ou
 		}
 		return nil, true, false, err
 	}
-	var no distv1.NodeOutcome
-	if err := json.Unmarshal(data, &no); err != nil {
-		return nil, true, true, fmt.Errorf("dist: worker %s: decode outcome: %w", url, err)
-	}
-	if no.Schema != distv1.Schema {
-		return nil, false, false, fmt.Errorf("dist: worker %s: outcome schema %q, want %q", url, no.Schema, distv1.Schema)
+	no, err := distv1.ParseNodeOutcome(bytes.NewReader(data))
+	if err != nil {
+		return nil, true, true, fmt.Errorf("dist: worker %s: %w", url, err)
 	}
 	return &no, false, false, nil
 }
+
+// maxResponseBytes caps what the coordinator reads of one worker
+// response, as maxCampaignBytes caps a campaign request in the daemon.
+// A node outcome or heartbeat is a few hundred bytes; a larger answer
+// is a faulty worker, never a larger result.
+const maxResponseBytes = 1 << 20

@@ -82,6 +82,17 @@ func requireLocal(t *testing.T, what, body string, res *rooftune.Result) {
 	if !reflect.DeepEqual(*res, *local) {
 		t.Fatalf("%s: Result differs from local run:\ndist  %+v\nlocal %+v", what, *res, *local)
 	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: Result bytes differ from local run:\ndist  %s\nlocal %s", what, got, want)
+	}
 }
 
 // testWorker is one in-process roofworkerd: the real Worker behind an
@@ -447,6 +458,42 @@ func TestLocalFallbackNoWorkers(t *testing.T) {
 	}
 	if live, _ := c.Workers(); live != 0 {
 		t.Fatalf("dead fleet reports %d live workers", live)
+	}
+}
+
+// TestOtherDialectWorkerNotLive: a worker whose heartbeat speaks
+// another dialect would reject every node spec as a bad node, which
+// fails the node rather than moving it on. The probe must therefore
+// not enroll it: the pool counts it dead, no node is sent to it, and
+// the campaign runs on the rest of the fleet byte-identically to a
+// local run.
+func TestOtherDialectWorkerNotLive(t *testing.T) {
+	var runs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc(distv1.PathHealth, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"schema":"rooftune/dist/v0","worker":"old","running":0,"capacity":2,"nodesRun":0}`)
+	})
+	mux.HandleFunc(distv1.PathRun, func(w http.ResponseWriter, r *http.Request) {
+		runs.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprint(w, `{"error":{"code":"bad_node","message":"schema \"rooftune/dist/v1\", want \"rooftune/dist/v0\""}}`)
+	})
+	old := httptest.NewServer(mux)
+	t.Cleanup(old.Close)
+	c := newTestCoordinator(t, time.Minute, &testWorker{ts: old}, startWorker(t, "w", nil))
+
+	if live, dead := c.Workers(); live != 1 || dead != 1 {
+		t.Fatalf("Workers() = %d live, %d dead; want 1 live, 1 dead", live, dead)
+	}
+	res, err := distRun(context.Background(), c, chainedCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLocal(t, "run beside an other-dialect worker", chainedCampaign, res)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("%d node specs sent to the other-dialect worker", n)
 	}
 }
 

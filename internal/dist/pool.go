@@ -40,9 +40,9 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -155,7 +155,9 @@ func (p *Pool) CheckNow(ctx context.Context) {
 }
 
 // probe fetches one worker's heartbeat under a bounded deadline (the
-// heartbeat interval), so a hung worker cannot stall the sweep.
+// heartbeat interval), so a hung worker cannot stall the sweep. A
+// worker whose heartbeat is not of this dialect is not live: it would
+// reject every node spec the coordinator sends.
 func (p *Pool) probe(ctx context.Context, url string) (distv1.Heartbeat, error) {
 	var hb distv1.Heartbeat
 	ctx, cancel := context.WithTimeout(ctx, p.heartbeat)
@@ -172,7 +174,8 @@ func (p *Pool) probe(ctx context.Context, url string) (distv1.Heartbeat, error) 
 	if resp.StatusCode != http.StatusOK {
 		return hb, fmt.Errorf("dist: worker %s health: HTTP %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&hb); err != nil {
+	hb, err = distv1.ParseHeartbeat(io.LimitReader(resp.Body, maxResponseBytes))
+	if err != nil {
 		return hb, fmt.Errorf("dist: worker %s health: %w", url, err)
 	}
 	return hb, nil
