@@ -28,9 +28,10 @@ func fuzzOutcomeSession() (*Session, error) {
 // outcomeFromWire against the plan node the outcome names (or, for an
 // unknown name, the first node, which must refuse it). No input may
 // panic, and every winner outcomeFromWire accepts must re-marshal
-// through bench.MarshalConfig, as Result assembly will. The seed corpus, real worker outcomes plus
-// malformed variants, lives in testdata/fuzz/FuzzOutcomeFromWire and
-// also runs in every plain `go test`.
+// through bench.MarshalConfig, as Result assembly will. The seed
+// corpus, real worker outcomes plus malformed variants, lives in
+// testdata/fuzz/FuzzOutcomeFromWire and also runs in every plain
+// `go test`.
 func FuzzOutcomeFromWire(f *testing.F) {
 	sess, err := fuzzOutcomeSession()
 	if err != nil {

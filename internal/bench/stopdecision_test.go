@@ -8,8 +8,9 @@ import (
 	"rooftune/internal/xrand"
 )
 
-// The evaluator decides stop conditions 3 and 4 by comparing squares (intervals.converged, intervals.beaten)
-// and builds the interval only near a tie. These tests hold both
+// The evaluator decides stop conditions 3 and 4 by comparing squares
+// (intervals.converged, intervals.beaten) and builds the normal
+// interval only near a tie. These tests hold both
 // decisions to the expressions on the built interval, the oracle below,
 // bit for bit: random Welford states, and states placed within a few
 // ulps of each decision's boundary.
